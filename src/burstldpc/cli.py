@@ -54,7 +54,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_lmax(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    value = compute_lmax(g, threads=args.threads)
+    value = compute_lmax(g)
     _emit(f"L_max {value}\n", args.out)
     zero_span = min_zero_span(g, "global-min")
     print(f"L_max={value} (zero-run diagnostic suggests >= {zero_span - 1}; "
@@ -64,7 +64,7 @@ def _cmd_lmax(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    result = scan_length(g, args.length, threads=args.threads)
+    result = scan_length(g, args.length)
     starts = " ".join(map(str, result.uncorrectable_starts))
     _emit(f"L,N_B,starts\n{result.length},{result.n_b},{starts}\n", args.out)
     print(f"length {result.length}: {result.n_b} uncorrectable of "
@@ -162,17 +162,17 @@ def _cmd_pss(args: argparse.Namespace) -> int:
         pivot_pool_policy="full-closure" if args.pool == "closure" else "one-hop",
         restrict_to_systematic=allowed,
         max_length=args.max_length,
-        early_exit=not args.no_early_exit,
-        threads=args.threads)
+        early_exit=not args.no_early_exit)
     result = pss_optimize(g, cfg)
     if args.out:
         write_alist(result.graph, args.out)
     if args.perm:
         write_permutation(result.permutation, args.perm)
     if args.report:
-        lines = ["L,N_B,F_act,decode_calls,accepted"]
+        lines = ["L,N_B,F_act,decode_calls,accepted,aborted_rounds"]
         lines += [f"{r.length},{r.n_b},{r.f_act},{r.decode_calls},"
-                  f"{str(r.accepted).lower()}" for r in result.report.rows]
+                  f"{str(r.accepted).lower()},{r.aborted_rounds}"
+                  for r in result.report.rows]
         Path(args.report).write_text("\n".join(lines) + "\n")
     _emit(f"original_lmax {result.report.original_lmax}\n"
           f"final_lmax {result.report.final_lmax}\n", None)
@@ -202,14 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lmax", help="guaranteed resolvable burst length")
     p.add_argument("input")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lmax)
 
     p = sub.add_parser("scan", help="failing windows at one burst length")
     p.add_argument("input")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=int)
     p.add_argument("--no-early-exit", action="store_true",
                    help="full re-scans, for exact decode accounting")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="optimized graph (alist)")
     p.add_argument("--perm", help="column permutation file")
     p.add_argument("--report", help="per-length CSV report")

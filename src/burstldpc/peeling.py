@@ -7,9 +7,7 @@ input pattern.  Only erasure support is tracked, never bit values.
 
 The decoder keeps per-check erased-neighbor counters as reusable scratch
 and resets them through dirty lists, so each call costs O(edges incident
-to the pattern) rather than O(n).  One instance is single-threaded;
-run one instance per worker to decode in parallel over a shared
-read-only graph.
+to the pattern) rather than O(n).  One instance is single-threaded.
 """
 
 from __future__ import annotations
@@ -59,8 +57,7 @@ class DecodeOutcome:
 class PeelingDecoder:
     """Work-queue peeling decoder over one graph, with reusable scratch state.
 
-    ``calls`` counts decode invocations monotonically and feeds the
-    optimizer's decode accounting.
+    ``calls`` counts decode invocations monotonically.
     """
 
     __slots__ = ("graph", "calls", "_erased", "_count")
@@ -87,13 +84,6 @@ class PeelingDecoder:
                 f"burst ({burst.start}, {burst.length}) exceeds n={self.graph.n}")
         success, residual, rounds = self._run(burst.indices())
         return DecodeOutcome(success, frozenset(residual), rounds, self.calls)
-
-    def burst_residual(self, start: int, length: int) -> tuple[int, ...] | None:
-        """Scanner fast path: residual members on failure, None on success."""
-        if start < 0 or start + length > self.graph.n:
-            raise ValueError(
-                f"burst ({start}, {length}) out of range (n={self.graph.n})")
-        return self._run(range(start, start + length))[1] or None
 
     def _run(self, erased: Sequence[int]) -> tuple[bool, tuple[int, ...], int]:
         var_adj = self.graph.var_adj

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .burst import compute_lmax, scan_length
-from .peeling import Burst, PeelingDecoder
+from .peeling import Burst
 from .stopset import PivotSet, _pivot_closure, induced_subgraph, neighboring_pivots
 from .tanner import InternalInvariantError, Permutation, TannerGraph
 
@@ -47,9 +47,7 @@ class PssConfig:
     validating re-scan of a failed round stop at its first failure;
     disable it to make the per-length decode accounting exact.
     ``validate_rollback`` snapshots the graph around every round and
-    verifies refused rounds restore it, for tests.  ``threads`` caps
-    workers for the full window scans (the optimizer itself stays a
-    sequential state machine and owns the RNG).
+    verifies refused rounds restore it, for tests.
     """
 
     f_max: int | None = None
@@ -59,7 +57,6 @@ class PssConfig:
     max_length: int | None = None
     early_exit: bool = True
     validate_rollback: bool = False
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.f_max is not None and self.f_max < 1:
@@ -244,8 +241,7 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
 
     work = g.copy()
     tracker = _PermTracker(n)
-    decoder = PeelingDecoder(work)
-    original_lmax = compute_lmax(work, threads=cfg.threads)
+    original_lmax = compute_lmax(work)
     rows: list[PssRow] = []
     length = original_lmax + 1
     budget_exhausted = False
@@ -253,9 +249,7 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
     while not budget_exhausted and length <= n:
         if cfg.max_length is not None and length > cfg.max_length:
             break
-        scan = scan_length(work, length, early_exit=False,
-                           collect_residuals=True, decoder=decoder,
-                           threads=cfg.threads)
+        scan = scan_length(work, length, early_exit=False, collect_residuals=True)
         row_calls = scan.decode_calls
         if scan.n_b == 0:
             rows.append(PssRow(length, 0, 0, row_calls, True))
@@ -281,8 +275,7 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
                     break
                 continue
             rescan = scan_length(work, length, early_exit=cfg.early_exit,
-                                 collect_residuals=False, decoder=decoder,
-                                 threads=cfg.threads)
+                                 collect_residuals=False)
             row_calls += rescan.decode_calls
             trials += 1
             if rescan.n_b == 0:
@@ -301,7 +294,7 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
             budget_exhausted = True
 
     last_accepted = length - 1
-    final_lmax = compute_lmax(work, threads=cfg.threads)
+    final_lmax = compute_lmax(work)
     if final_lmax < last_accepted:
         raise InternalInvariantError(
             f"verification scan found L_max {final_lmax} below accepted {last_accepted}")

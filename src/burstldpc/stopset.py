@@ -22,6 +22,7 @@ from .peeling import PeelingDecoder
 from .tanner import TannerGraph
 
 ENUMERATION_LIMIT = 24
+_MASK_BITS = 32  # subsets are enumerated as uint32 bitmasks
 _CHUNK = 1 << 20
 
 
@@ -129,6 +130,9 @@ def _check_masks(g: TannerGraph) -> list[int]:
 
 def _iter_stopping_masks(g: TannerGraph, max_n: int) -> Iterator[np.ndarray]:
     """Yield chunks of subset bitmasks that satisfy the stopping condition."""
+    if max_n > _MASK_BITS:
+        raise ValueError(
+            f"subset enumeration limit {max_n} above {_MASK_BITS} is not supported")
     if g.n > max_n:
         raise ValueError(
             f"subset enumeration refused: n={g.n} exceeds limit {max_n} "

@@ -1,9 +1,10 @@
 import pytest
 
-from burstldpc import (Burst, PeelingDecoder, all_pivots_oracle, build_graph,
-                       compute_lmax, fixtures, induced_subgraph,
-                       min_stopping_set_span, min_zero_span, scan_length)
-from conftest import brute_lmax, random_graph
+from burstldpc import (Burst, BurstScanResult, GenSpec, PeelingDecoder,
+                       all_pivots_oracle, build_graph, compute_lmax, fixtures,
+                       gen_regular, induced_subgraph, min_stopping_set_span,
+                       min_zero_span, scan_length)
+from conftest import brute_lmax, random_graph, sweep_peel
 
 
 def test_scan_cycle4_full_length():
@@ -48,15 +49,47 @@ def test_scan_early_exit_stops_at_first_failure():
     assert quick.decode_calls == 1
 
 
-def test_scan_threaded_matches_sequential(rng):
-    from burstldpc import gen_regular, GenSpec
-    g = gen_regular(GenSpec(n=96, m=48, var_degree=3, check_degree=6, rng_seed=3))
-    length = compute_lmax(g) + 1
-    seq = scan_length(g, length)
-    par = scan_length(g, length, threads=3)
-    assert par.uncorrectable_starts == seq.uncorrectable_starts
-    assert par.residuals == seq.residuals
-    assert par.decode_calls == seq.decode_calls == g.n - length + 1
+def _assert_scan_matches_sweep(g, length):
+    expected = [frozenset(sweep_peel(g, range(j, j + length)))
+                for j in range(g.n - length + 1)]
+    failing = tuple(j for j, residual in enumerate(expected) if residual)
+
+    full = scan_length(g, length)
+    assert full.uncorrectable_starts == failing
+    assert full.residuals == tuple(expected[j] for j in failing)
+    assert full.decode_calls == g.n - length + 1 and full.complete
+    assert scan_length(g, length, collect_residuals=False) == \
+        BurstScanResult(length, failing, (), g.n - length + 1, True)
+
+    quick = scan_length(g, length, early_exit=True)
+    if not failing:
+        assert quick == full
+        return
+    j = failing[0]
+    assert quick.uncorrectable_starts == (j,)
+    assert quick.residuals == (expected[j],)
+    assert quick.decode_calls == j + 1
+    assert quick.complete == (j == g.n - length)
+    assert scan_length(g, length, early_exit=True, collect_residuals=False) == \
+        BurstScanResult(length, (j,), (), j + 1, quick.complete)
+
+
+def test_scan_matches_sweep_decoder_on_random_graphs(rng):
+    for _ in range(40):
+        g = random_graph(rng, max_n=60)
+        lmax = compute_lmax(g)
+        lengths = {rng.randint(1, g.n), rng.randint(1, g.n), g.n}
+        lengths |= {length for length in (lmax, lmax + 1, lmax + 2) if length <= g.n}
+        for length in sorted(lengths):
+            _assert_scan_matches_sweep(g, length)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scan_matches_sweep_decoder_near_lmax(seed):
+    g = gen_regular(GenSpec(n=128, m=64, var_degree=3, check_degree=6, rng_seed=seed))
+    lmax = compute_lmax(g)
+    for length in range(lmax - 3, lmax + 9):
+        _assert_scan_matches_sweep(g, length)
 
 
 def test_compute_lmax_fixtures():

@@ -82,6 +82,16 @@ def test_stopsets_respects_limit(capsys):
     assert "2^n" in err
 
 
+def test_stopsets_rejects_limit_above_mask_width(tmp_path, capsys):
+    path = tmp_path / "g34.alist"
+    run(capsys, "gen", "--n", "34", "--m", "17", "--dv", "3", "--dc", "6",
+        "--girth-floor", "4", "--out", str(path))
+    code, out, err = run(capsys, "stopsets", str(path), "--max-n", "40")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "32" in err
+
+
 def test_threshold_regular(capsys):
     code, out, _ = run(capsys, "threshold", "--regular", "3", "6", "--n", "2640")
     assert code == 0
@@ -137,8 +147,9 @@ def test_pss_end_to_end(tmp_path, capsys):
     assert optimized == g.apply_permutation(perm)
 
     report = report_path.read_text().splitlines()
-    assert report[0] == "L,N_B,F_act,decode_calls,accepted"
-    assert all(len(line.split(",")) == 5 for line in report[1:])
+    assert report[0] == "L,N_B,F_act,decode_calls,accepted,aborted_rounds"
+    assert all(len(line.split(",")) == 6 for line in report[1:])
+    assert all(line.split(",")[5].isdigit() for line in report[1:])
     assert "->" in err
 
 

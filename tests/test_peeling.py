@@ -159,18 +159,4 @@ def test_decode_call_counter_is_monotone():
     dec = PeelingDecoder(g)
     ids = [dec.peel({0}).decode_call_id for _ in range(3)]
     assert ids == [1, 2, 3]
-    assert dec.burst_residual(0, 4) is not None
-    assert dec.calls == 4
-
-
-def test_burst_residual_fast_path_matches_peel_burst(rng):
-    for _ in range(10):
-        g = random_graph(rng)
-        dec = PeelingDecoder(g)
-        length = rng.randint(1, g.n)
-        start = rng.randint(0, g.n - length)
-        out = dec.peel_burst(Burst(start, length))
-        fast = dec.burst_residual(start, length)
-        assert (fast is None) == out.success
-        if fast is not None:
-            assert frozenset(fast) == out.residual
+    assert dec.calls == 3

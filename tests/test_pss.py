@@ -219,15 +219,6 @@ def test_config_validation():
         PssConfig(pivot_pool_policy="everything")
 
 
-def test_thread_count_does_not_change_results(code128):
-    seq = pss_optimize(code128, PssConfig(rng_seed=13, f_max=16))
-    par = pss_optimize(code128, PssConfig(rng_seed=13, f_max=16, threads=3))
-    assert par.permutation == seq.permutation
-    assert par.report.final_lmax == seq.report.final_lmax
-    assert [(r.length, r.n_b, r.accepted) for r in par.report.rows] == \
-        [(r.length, r.n_b, r.accepted) for r in seq.report.rows]
-
-
 def test_full_closure_policy_runs(code128):
     result = pss_optimize(code128, PssConfig(rng_seed=8, f_max=24,
                                              pivot_pool_policy="full-closure"))
