@@ -1,4 +1,4 @@
-"""Burst-window scanning: guaranteed burst length, failing windows, zero-run bound.
+"""Burst-window scanning: guaranteed burst length and failing windows.
 
 Windows never wrap: a burst of length L can start at positions
 0 .. n-L, so a scan at length L evaluates n-L+1 windows.
@@ -19,6 +19,29 @@ from .tanner import InternalInvariantError, TannerGraph
 
 # Early-exit scans peel blocks of starts of doubling width from this one.
 _FIRST_BLOCK = 8
+
+
+@dataclass(frozen=True)
+class Burst:
+    """Contiguous erasure window: ``length`` positions starting at ``start``."""
+
+    start: int
+    length: int
+
+    def __post_init__(self) -> None:
+        if self.start < 0:
+            raise ValueError(f"burst start {self.start} negative")
+        if self.length < 1:
+            raise ValueError(f"burst length {self.length} < 1")
+
+    @property
+    def stop(self) -> int:
+        """One past the last erased position."""
+        return self.start + self.length
+
+    @property
+    def last(self) -> int:
+        return self.start + self.length - 1
 
 
 @dataclass(frozen=True)
@@ -172,30 +195,3 @@ def compute_lmax(g: TannerGraph) -> int:
         raise InternalInvariantError(f"confirming scan clean at length {lo + 1}")
     return lo
 
-
-def min_zero_span(g: TannerGraph, variant: str = "per-row-max") -> int:
-    """Zero-run statistic over matrix rows (diagnostic lower-bound input).
-
-    Each row's maximal runs of consecutive zeros are collected (a row with
-    no zeros contributes a run of 0).  Variant "per-row-max" takes the
-    minimum over rows of the longest run in the row; "global-min" takes
-    the minimum over every run of every row.
-    """
-    if variant not in ("per-row-max", "global-min"):
-        raise ValueError(f"unknown variant {variant!r}")
-    per_row = []
-    for row in g.check_adj:
-        runs = []
-        prev = -1
-        for v in row:  # sorted
-            gap = v - prev - 1
-            if gap > 0:
-                runs.append(gap)
-            prev = v
-        tail = g.n - 1 - prev
-        if tail > 0:
-            runs.append(tail)
-        if not runs:
-            runs = [0]
-        per_row.append(max(runs) if variant == "per-row-max" else min(runs))
-    return min(per_row)

@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .burst import compute_lmax, min_zero_span, scan_length
+from .burst import compute_lmax, scan_length
 from .codegen import GenSpec, fixtures, gen_regular
 from .pss import PssConfig, pss_optimize
 from .stopset import all_pivots_oracle, enumerate_stopping_sets
@@ -56,9 +56,7 @@ def _cmd_lmax(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     value = compute_lmax(g)
     _emit(f"L_max {value}\n", args.out)
-    zero_span = min_zero_span(g, "global-min")
-    print(f"L_max={value} (zero-run diagnostic suggests >= {zero_span - 1}; "
-          f"n={g.n} m={g.m})", file=sys.stderr)
+    print(f"L_max={value} (n={g.n} m={g.m})", file=sys.stderr)
     return 0
 
 
@@ -147,10 +145,7 @@ def _stacked_summary(rows) -> str:
 def _cmd_pss(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     allowed = None
-    if args.systematic_only:
-        if not args.systematic_range:
-            raise GraphValidationError(
-                "--systematic-only needs --systematic-range START STOP")
+    if args.systematic_range:
         lo, hi = args.systematic_range
         if not (0 <= lo < hi <= g.n):
             raise GraphValidationError(
@@ -232,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fmax", type=int)
     p.add_argument("--pool", choices=("one-hop", "closure"), default="one-hop")
-    p.add_argument("--systematic-only", action="store_true")
-    p.add_argument("--systematic-range", type=int, nargs=2, metavar=("START", "STOP"))
+    p.add_argument("--systematic-range", type=int, nargs=2, metavar=("START", "STOP"),
+                   help="swap only columns START..STOP-1")
     p.add_argument("--max-length", type=int)
     p.add_argument("--no-early-exit", action="store_true",
                    help="full re-scans, for exact decode accounting")

@@ -25,11 +25,8 @@ class GenSpec:
     check_degree: int
     rng_seed: int = 0
     girth_floor: int = 6
-    kind: str = "random-regular"
 
     def __post_init__(self) -> None:
-        if self.kind != "random-regular":
-            raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.girth_floor not in (4, 6):
             raise ValueError("girth_floor must be 4 (no effort) or 6 (break 4-cycles)")
 

@@ -1,4 +1,4 @@
-"""Iterative peeling decoder for erasure patterns.
+"""Iterative peeling decoder for arbitrary erasure patterns.
 
 A check node with exactly one erased neighbor recovers that neighbor;
 this repeats until no such check remains.  On failure the surviving
@@ -8,40 +8,18 @@ input pattern.  Only erasure support is tracked, never bit values.
 The decoder keeps per-check erased-neighbor counters as reusable scratch
 and resets them through dirty lists, so each call costs O(edges incident
 to the pattern) rather than O(n).  One instance is single-threaded.
+
+It serves the pivot oracles, which peel one arbitrary pattern at a time.
+Burst windows go through `burst.scan_length` instead, which peels every
+window of one length together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .tanner import TannerGraph
-
-
-@dataclass(frozen=True)
-class Burst:
-    """Contiguous erasure window: ``length`` positions starting at ``start``."""
-
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"burst start {self.start} negative")
-        if self.length < 1:
-            raise ValueError(f"burst length {self.length} < 1")
-
-    @property
-    def stop(self) -> int:
-        """One past the last erased position."""
-        return self.start + self.length
-
-    @property
-    def last(self) -> int:
-        return self.start + self.length - 1
-
-    def indices(self) -> range:
-        return range(self.start, self.stop)
 
 
 @dataclass(frozen=True)
@@ -50,8 +28,6 @@ class DecodeOutcome:
 
     success: bool
     residual: frozenset[int]
-    iterations: int
-    decode_call_id: int
 
 
 class PeelingDecoder:
@@ -70,22 +46,11 @@ class PeelingDecoder:
 
     def peel(self, pattern: Iterable[int]) -> DecodeOutcome:
         """Decode an arbitrary erasure pattern (duplicates collapse)."""
-        erased = sorted(set(pattern))
+        erased = set(pattern)
         n = self.graph.n
         for v in erased:
             if not 0 <= v < n:
                 raise ValueError(f"erased index {v} out of range (n={n})")
-        success, residual, rounds = self._run(erased)
-        return DecodeOutcome(success, frozenset(residual), rounds, self.calls)
-
-    def peel_burst(self, burst: Burst) -> DecodeOutcome:
-        if burst.stop > self.graph.n:
-            raise ValueError(
-                f"burst ({burst.start}, {burst.length}) exceeds n={self.graph.n}")
-        success, residual, rounds = self._run(burst.indices())
-        return DecodeOutcome(success, frozenset(residual), rounds, self.calls)
-
-    def _run(self, erased: Sequence[int]) -> tuple[bool, tuple[int, ...], int]:
         var_adj = self.graph.var_adj
         check_adj = self.graph.check_adj
         count = self._count
@@ -103,9 +68,7 @@ class PeelingDecoder:
         frontier = [c for c in touched if count[c] == 1]
 
         remaining = len(erased)
-        rounds = 0
         while frontier and remaining:
-            rounds += 1
             next_frontier: list[int] = []
             for c in frontier:
                 if count[c] != 1:
@@ -123,10 +86,11 @@ class PeelingDecoder:
                         next_frontier.append(c2)
             frontier = next_frontier
 
-        residual = tuple(v for v in erased if is_erased[v]) if remaining else ()
+        residual = (frozenset(v for v in erased if is_erased[v]) if remaining
+                    else frozenset())
         # Reset scratch through the dirty lists only.
         for v in erased:
             is_erased[v] = 0
         for c in touched:
             count[c] = 0
-        return remaining == 0, residual, rounds
+        return DecodeOutcome(remaining == 0, residual)

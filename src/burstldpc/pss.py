@@ -29,9 +29,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .burst import compute_lmax, scan_length
-from .peeling import Burst
-from .stopset import PivotSet, _pivot_closure, induced_subgraph, neighboring_pivots
+from .burst import Burst, compute_lmax, scan_length
+from .stopset import PivotSet, induced_subgraph, neighboring_pivots, pivot_search
 from .tanner import InternalInvariantError, Permutation, TannerGraph
 
 POOL_POLICIES = ("one-hop", "full-closure")
@@ -121,13 +120,13 @@ def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
         raise InternalInvariantError(
             f"burst ({burst.start}, {burst.length}) endpoints missing from its "
             f"residual stopping set; the scan or decoder is broken")
+    if policy == "full-closure":
+        return pivot_search(g, members, (first, last))
     sub = induced_subgraph(g, members)
-    if policy == "one-hop":
-        pool = {first, last}
-        pool |= neighboring_pivots(sub, first)
-        pool |= neighboring_pivots(sub, last)
-        return PivotSet(frozenset(pool))
-    return PivotSet(_pivot_closure(sub, (first, last)))
+    pool = {first, last}
+    pool |= neighboring_pivots(sub, first)
+    pool |= neighboring_pivots(sub, last)
+    return PivotSet(frozenset(pool))
 
 
 def eligible_swap_targets(n: int, burst: Burst, pivot: int,

@@ -209,14 +209,12 @@ def induced_subgraph(g: TannerGraph, members: Iterable[int]) -> InducedSubgraph:
         {v: tuple(g.var_adj[v]) for v in s})
 
 
-def is_pivot_oracle(g: TannerGraph, s: StoppingSet | Iterable[int], v: int,
-                    _decoder: PeelingDecoder | None = None) -> bool:
+def is_pivot_oracle(g: TannerGraph, s: StoppingSet | Iterable[int], v: int) -> bool:
     """Direct check: does knowing ``v`` let peeling clear the rest of the set?"""
     members = _validate_members(g, s)
     if v not in members:
         raise ValueError(f"variable {v} is not a member of the stopping set")
-    decoder = _decoder or PeelingDecoder(g)
-    return decoder.peel(members - {v}).success
+    return PeelingDecoder(g).peel(members - {v}).success
 
 
 def all_pivots_oracle(g: TannerGraph, s: StoppingSet | Iterable[int]) -> PivotSet:
@@ -241,18 +239,6 @@ def neighboring_pivots(sub: InducedSubgraph, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _pivot_closure(sub: InducedSubgraph, seed: Iterable[int]) -> frozenset[int]:
-    found = set(seed)
-    frontier = set(found)
-    while frontier:
-        new: set[int] = set()
-        for v in frontier:
-            new |= neighboring_pivots(sub, v)
-        frontier = new - found
-        found |= frontier
-    return frozenset(found)
-
-
 def pivot_search(g: TannerGraph, s: StoppingSet | Iterable[int],
                  seed: Iterable[int]) -> PivotSet:
     """Expand a known pivot set to its neighboring-pivot fixed point.
@@ -268,4 +254,12 @@ def pivot_search(g: TannerGraph, s: StoppingSet | Iterable[int],
     if not seed_set <= members:
         raise ValueError("seed contains non-members of the stopping set")
     sub = induced_subgraph(g, members)
-    return PivotSet(_pivot_closure(sub, seed_set))
+    found = set(seed_set)
+    frontier = set(found)
+    while frontier:
+        new: set[int] = set()
+        for v in frontier:
+            new |= neighboring_pivots(sub, v)
+        frontier = new - found
+        found |= frontier
+    return PivotSet(frozenset(found))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -108,17 +107,6 @@ class DegreeDistribution:
     @property
     def edge_count(self) -> int:
         return sum(deg * count for deg, count in self.variable)
-
-    def variable_edge_fractions(self) -> dict[int, Fraction]:
-        """Fraction of edges incident to variable nodes of each degree (exact)."""
-        edges = self.edge_count
-        return {deg: Fraction(deg * count, edges)
-                for deg, count in self.variable if deg > 0}
-
-    def check_edge_fractions(self) -> dict[int, Fraction]:
-        edges = sum(deg * count for deg, count in self.check)
-        return {deg: Fraction(deg * count, edges)
-                for deg, count in self.check if deg > 0}
 
 
 class TannerGraph:
@@ -229,11 +217,6 @@ class TannerGraph:
         return f"TannerGraph(n={self.n}, m={self.m}, edges={self.edge_count})"
 
 
-def build_graph(rows: Sequence[Sequence[int]], n: int) -> TannerGraph:
-    """Validated construction from per-check variable-index lists."""
-    return TannerGraph.from_rows(rows, n)
-
-
 # ---------------------------------------------------------------------------
 # alist interchange format (MacKay convention, 1-based, zero-padded entries
 # ignored) and the two-line permutation text format.
@@ -284,6 +267,14 @@ def parse_alist(text: str) -> TannerGraph:
         raise GraphValidationError("alist: column-degree line has wrong length")
     if len(row_deg) != m:
         raise GraphValidationError("alist: row-degree line has wrong length")
+    # Line 2 bounds the entry-line widths: a maximum below the largest
+    # listed degree is corrupt, one above it only allows more zero padding.
+    max_deg = ints(1)
+    if (len(max_deg) != 2 or max_deg[0] < max(col_deg)
+            or max_deg[1] < max(row_deg)):
+        raise GraphValidationError(
+            f"alist line 2: expected the maximum column and row degrees, at least "
+            f"{max(col_deg)} {max(row_deg)}, got {lines[1].strip()!r}")
     col_lists = []
     for i in range(n):
         entries = [x - 1 for x in ints(4 + i) if x != 0]

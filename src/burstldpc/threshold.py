@@ -65,8 +65,7 @@ class EdgeDistribution:
 
     @classmethod
     def from_degree_distribution(cls, dd: DegreeDistribution) -> "EdgeDistribution":
-        return cls(_fractions_to_pairs(dd.variable_edge_fractions()),
-                   _fractions_to_pairs(dd.check_edge_fractions()))
+        return cls.from_node_multiplicities(dict(dd.variable), dict(dd.check))
 
     def lam_at(self, x: float) -> float:
         return sum(frac * x ** (deg - 1) for deg, frac in self.lam)
@@ -84,12 +83,11 @@ def de_step(dist: EdgeDistribution, p: float, x: float) -> float:
     return p * dist.lam_at(1.0 - dist.rho_at(1.0 - x))
 
 
-def _converges(dist: EdgeDistribution, p: float, max_iterations: int,
-               floor: float) -> bool:
+def _converges(dist: EdgeDistribution, p: float) -> bool:
     x = 1.0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         nxt = de_step(dist, p, x)
-        if nxt < floor:
+        if nxt < CONVERGENCE_FLOOR:
             return True
         if nxt >= x:  # stalled at a nonzero fixed point
             return False
@@ -97,11 +95,9 @@ def _converges(dist: EdgeDistribution, p: float, max_iterations: int,
     return False
 
 
-def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL, *,
-              max_iterations: int = MAX_ITERATIONS,
-              convergence_floor: float = CONVERGENCE_FLOOR) -> float:
+def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
     """Threshold p* by bisection on convergence of the iterates from x = 1."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if any(deg == 1 for deg, _ in dist.lam):
         raise ValueError(
@@ -110,7 +106,7 @@ def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL, *,
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _converges(dist, mid, max_iterations, convergence_floor):
+        if _converges(dist, mid):
             lo = mid
         else:
             hi = mid

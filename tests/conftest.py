@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's decoding and
 enumeration paths: stopping sets come from itertools subset scans, and
-`sweep_peel` is a naive full-sweep decoder with a different schedule
-than the production work-queue decoder.
+`sweep_peel` is a naive full-sweep decoder that referees both peeling
+kernels: the work-queue `PeelingDecoder` and the bit-parallel window
+kernel behind `scan_length`.
 """
 
 from __future__ import annotations

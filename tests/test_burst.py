@@ -1,9 +1,8 @@
 import pytest
 
-from burstldpc import (Burst, BurstScanResult, GenSpec, PeelingDecoder,
-                       all_pivots_oracle, build_graph, compute_lmax, fixtures,
-                       gen_regular, induced_subgraph, min_stopping_set_span,
-                       min_zero_span, scan_length)
+from burstldpc import (BurstScanResult, GenSpec, PeelingDecoder, all_pivots_oracle,
+                       compute_lmax, fixtures, gen_regular, induced_subgraph,
+                       min_stopping_set_span, scan_length)
 from conftest import brute_lmax, random_graph, sweep_peel
 
 
@@ -137,55 +136,11 @@ def test_failing_burst_neighbors_decode(rng):
         for start, residual in zip(result.uncorrectable_starts, result.residuals):
             checked += 1
             if lmax >= 1:
-                assert decoder.peel_burst(Burst(start, lmax)).success
-                assert decoder.peel_burst(Burst(start + 1, lmax)).success
+                assert decoder.peel(range(start, start + lmax)).success
+                assert decoder.peel(range(start + 1, start + 1 + lmax)).success
             assert induced_subgraph(g, residual).component_count() == 1
             # Window endpoints are pivots of the residual.
             pivots = all_pivots_oracle(g, residual)
             assert start in pivots and start + lmax in pivots
     assert checked > 10
 
-
-def test_min_zero_span_chain4():
-    g = fixtures()["chain4"]  # rows 1100, 0110, 0011
-    assert min_zero_span(g, "per-row-max") == 1
-    assert min_zero_span(g, "global-min") == 1
-
-
-def test_min_zero_span_all_ones_row():
-    g = build_graph([[0, 1, 2], [0, 2]], 3)
-    assert min_zero_span(g, "per-row-max") == 0
-    assert min_zero_span(g, "global-min") == 0
-
-
-def test_min_zero_span_single_run():
-    g = build_graph([[0, 4]], 5)  # 1 0 0 0 1
-    assert min_zero_span(g, "per-row-max") == 3
-    assert min_zero_span(g, "global-min") == 3
-
-
-def test_min_zero_span_variants_differ():
-    g = build_graph([[1, 2], [0, 3]], 5)  # 0 1 1 0 0 and 1 0 0 1 0
-    assert min_zero_span(g, "per-row-max") == 2
-    assert min_zero_span(g, "global-min") == 1
-
-
-def test_min_zero_span_unknown_variant():
-    with pytest.raises(ValueError):
-        min_zero_span(fixtures()["cycle4"], "other")
-
-
-def test_zero_span_variants_are_ordered(rng):
-    for _ in range(10):
-        g = random_graph(rng, max_n=14)
-        assert min_zero_span(g, "global-min") <= min_zero_span(g, "per-row-max")
-
-
-def test_zero_span_bound_on_regular_samples():
-    # The bound L_max >= (min zero span) - 1 is a regular-code result and
-    # holds with the global-min variant; row-max can overshoot it.
-    from burstldpc import GenSpec, gen_regular
-    for seed in range(8):
-        g = gen_regular(GenSpec(n=20, m=10, var_degree=3, check_degree=6,
-                                rng_seed=seed, girth_floor=4))
-        assert compute_lmax(g) >= min_zero_span(g, "global-min") - 1

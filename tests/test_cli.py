@@ -1,8 +1,10 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from burstldpc import (fixtures, parse_alist, parse_permutation, read_alist)
+from burstldpc import (fixtures, format_alist, parse_alist, parse_permutation,
+                       read_alist)
 from burstldpc.cli import main
 
 
@@ -16,7 +18,7 @@ def test_lmax_fixture(capsys):
     code, out, err = run(capsys, "lmax", "fixtures:cycle4")
     assert code == 0
     assert out == "L_max 3\n"
-    assert "L_max=3" in err
+    assert err == "L_max=3 (n=4 m=4)\n"
 
 
 def test_unknown_fixture(capsys):
@@ -29,6 +31,17 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "lmax", "/nonexistent/file.alist")
     assert code == 1
     assert "error" in err
+
+
+def test_lmax_rejects_bad_max_degree_line(tmp_path, capsys):
+    lines = format_alist(fixtures()["chainD"]).splitlines()
+    lines[1] = "zz qq"
+    path = tmp_path / "bad.alist"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "lmax", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: alist line 2")
 
 
 def test_unknown_subcommand(capsys):
@@ -116,6 +129,14 @@ def test_threshold_multiplicities(capsys):
     assert out.splitlines()[1] == "lmax_target 27"
 
 
+def test_threshold_rejects_bad_tolerance(capsys):
+    for tol in ("nan", "0", "-1e-3"):
+        code, out, err = run(capsys, "threshold", "--regular", "3", "6", f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert "tolerance" in err
+
+
 def test_threshold_needs_a_source(capsys):
     code, _, err = run(capsys, "threshold")
     assert code == 1
@@ -173,13 +194,12 @@ def test_pss_systematic_flags(tmp_path, capsys):
     src = tmp_path / "in.alist"
     run(capsys, "gen", "--n", "48", "--m", "24", "--dv", "3", "--dc", "6",
         "--seed", "2", "--out", str(src))
-    code, _, err = run(capsys, "pss", str(src), "--systematic-only")
+    code, _, err = run(capsys, "pss", str(src), "--systematic-range", "0", "49")
     assert code == 1
-    assert "--systematic-range" in err
+    assert "systematic range" in err
     perm_path = tmp_path / "p.txt"
-    code, _, _ = run(capsys, "pss", str(src), "--systematic-only",
-                     "--systematic-range", "0", "24", "--fmax", "8",
-                     "--perm", str(perm_path))
+    code, _, _ = run(capsys, "pss", str(src), "--systematic-range", "0", "24",
+                     "--fmax", "8", "--perm", str(perm_path))
     assert code == 0
     perm = parse_permutation(perm_path.read_text())
     assert all(image == i for i, image in enumerate(perm.mapping) if i >= 24)
@@ -214,3 +234,28 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "L_max 3\n"
+
+
+def test_fixed_seed_outputs_are_pinned(tmp_path, capsys):
+    """Fixed seeds give byte-identical files; a change to any digest below
+    changes what users get from the same command line."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    alist = tmp_path / "g96.alist"
+    assert run(capsys, "gen", "--n", "96", "--m", "48", "--dv", "3", "--dc", "6",
+               "--seed", "1", "--out", str(alist))[0] == 0
+    assert sha(alist.read_bytes()) == \
+        "37d0ab61cf81719cdcbc5bf73d4eb6b702857afe5a04bfefcb2bfb9845b0be63"
+    paths = {name: tmp_path / f"pss.{name}" for name in ("out", "perm", "report")}
+    status, stdout, _ = run(capsys, "pss", str(alist), "--seed", "3", "--pool", "closure",
+                            "--fmax", "20", "--out", str(paths["out"]),
+                            "--perm", str(paths["perm"]), "--report", str(paths["report"]))
+    assert status == 0
+    assert {name: sha(path.read_bytes()) for name, path in paths.items()} == {
+        "out": "2dd47bbd1b1522ca42c779de377c63c6032306d90ceb3416e63758ec28406b9d",
+        "perm": "8f9e82ead01565b946a55cf88c8dc80fa0c40c0310bbbacafce5f79ade42c768",
+        "report": "ee67a1b696de741068d4f79701d8087ddcaef47dcad94a3bded76fda08ff8843",
+    }
+    assert sha(stdout.encode()) == \
+        "707a14f4c967c310079a80beb783fb2bc7eff225c68e28accccae98d7a942f4c"

@@ -49,8 +49,6 @@ def test_gen_regular_girth_effort():
 def test_gen_spec_validation():
     with pytest.raises(ValueError):
         GenSpec(n=8, m=4, var_degree=2, check_degree=4, girth_floor=8)
-    with pytest.raises(ValueError):
-        GenSpec(n=8, m=4, var_degree=2, check_degree=4, kind="peg")
 
 
 def test_fixture_names_present():

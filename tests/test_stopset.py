@@ -1,6 +1,6 @@
 import pytest
 
-from burstldpc import (PeelingDecoder, StoppingSet, all_pivots_oracle, build_graph,
+from burstldpc import (PeelingDecoder, StoppingSet, TannerGraph, all_pivots_oracle,
                        enumerate_stopping_sets, fixtures, induced_subgraph,
                        is_pivot_oracle, is_stopping_set, min_stopping_set_span,
                        neighboring_pivots, pivot_search)
@@ -49,7 +49,7 @@ def test_enumerate_matches_bruteforce(rng):
 
 
 def test_enumeration_size_limit():
-    g = build_graph([[0, 1]], 30)
+    g = TannerGraph.from_rows([[0, 1]], 30)
     with pytest.raises(ValueError, match="2\\^n"):
         enumerate_stopping_sets(g)
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_pivot_search_validates_seed():
 def test_pivot_search_can_miss_pivots():
     # On this graph the closure from one pivot stalls: the remaining
     # pivots are reachable only through checks of induced degree > 2.
-    g = build_graph([[1, 6], [2, 3, 4, 6], [2, 3, 5], [2, 4], [3, 4],
+    g = TannerGraph.from_rows([[1, 6], [2, 3, 4, 6], [2, 3, 5], [2, 4], [3, 4],
                      [0, 1, 2, 5], [0, 1, 2, 6]], 7)
     members = (1, 2, 3, 4, 5, 6)
     assert is_stopping_set(g, members)

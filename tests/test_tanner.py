@@ -1,15 +1,17 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from burstldpc import (DegreeDistribution, GraphValidationError, Permutation,
-                       TannerGraph, build_graph, format_alist, format_permutation,
+from burstldpc import (DegreeDistribution, EdgeDistribution, GraphValidationError,
+                       Permutation, TannerGraph, format_alist, format_permutation,
                        parse_alist, parse_permutation)
 from conftest import random_graph
 
 
 def test_build_cycle3():
-    g = build_graph([[0, 1], [1, 2], [2, 0]], 3)
+    g = TannerGraph.from_rows([[0, 1], [1, 2], [2, 0]], 3)
     assert g.n == 3 and g.m == 3
     assert g.variable_degrees() == [2, 2, 2]
     assert g.check_degrees() == [2, 2, 2]
@@ -17,44 +19,44 @@ def test_build_cycle3():
 
 
 def test_build_cycle4():
-    g = build_graph([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
+    g = TannerGraph.from_rows([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
     assert g.edge_count == 8
     assert g.var_adj == [[0, 3], [0, 1], [1, 2], [2, 3]]
 
 
 def test_out_of_range_index_names_row_and_column():
     with pytest.raises(GraphValidationError) as exc:
-        build_graph([[0, 1], [0, 5]], 4)
+        TannerGraph.from_rows([[0, 1], [0, 5]], 4)
     assert exc.value.row == 1
     assert exc.value.column == 5
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(GraphValidationError) as exc:
-        build_graph([[0, 1, 1]], 3)
+        TannerGraph.from_rows([[0, 1, 1]], 3)
     assert exc.value.row == 0
     assert exc.value.column == 1
 
 
 def test_empty_graph_rejected():
     with pytest.raises(GraphValidationError):
-        build_graph([], 3)
+        TannerGraph.from_rows([], 3)
     with pytest.raises(GraphValidationError):
-        build_graph([[0]], 0)
+        TannerGraph.from_rows([[0]], 0)
 
 
 def test_zero_degree_variables_flagged():
-    g = build_graph([[0, 2]], 4)
+    g = TannerGraph.from_rows([[0, 2]], 4)
     assert g.zero_degree_variables() == (1, 3)
 
 
 def test_identity_permutation_is_noop():
-    g = build_graph([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
+    g = TannerGraph.from_rows([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
     assert g.apply_permutation(Permutation.identity(4)) == g
 
 
 def test_swap_permutation_relabels():
-    g = build_graph([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
+    g = TannerGraph.from_rows([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
     p = Permutation.transposition(4, 0, 2)
     h = g.apply_permutation(p)
     assert h != g
@@ -90,13 +92,13 @@ def test_permutation_validates_bijection():
 
 
 def test_permutation_length_mismatch():
-    g = build_graph([[0, 1]], 3)
+    g = TannerGraph.from_rows([[0, 1]], 3)
     with pytest.raises(GraphValidationError):
         g.apply_permutation(Permutation.identity(2))
 
 
 def test_swap_columns_fixed_point_and_involution():
-    g = build_graph([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
+    g = TannerGraph.from_rows([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
     h = g.copy()
     h.swap_columns(1, 1)
     assert h == g
@@ -118,13 +120,13 @@ def test_swap_columns_matches_transposition(rng):
 
 
 def test_swap_columns_out_of_range():
-    g = build_graph([[0, 1]], 2)
+    g = TannerGraph.from_rows([[0, 1]], 2)
     with pytest.raises(GraphValidationError):
         g.swap_columns(0, 2)
 
 
 def test_degree_distribution_cycle3():
-    g = build_graph([[0, 1], [1, 2], [2, 0]], 3)
+    g = TannerGraph.from_rows([[0, 1], [1, 2], [2, 0]], 3)
     dd = g.degree_distribution()
     assert dd == DegreeDistribution.from_counts({2: 3}, {2: 3})
     assert dd.n == 3 and dd.m == 3 and dd.edge_count == 6
@@ -144,13 +146,15 @@ def test_degree_distribution_permutation_invariant(rng):
 
 def test_edge_fractions_sum_to_one(rng):
     g = random_graph(rng)
-    dd = g.degree_distribution()
-    assert sum(dd.variable_edge_fractions().values()) == 1
-    assert sum(dd.check_edge_fractions().values()) == 1
+    dist = EdgeDistribution.from_degree_distribution(g.degree_distribution())
+    for side, degrees in ((dist.lam, g.variable_degrees()), (dist.rho, g.check_degrees())):
+        assert side == tuple((d, float(Fraction(d * degrees.count(d), g.edge_count)))
+                             for d in sorted(set(degrees)))
+        assert math.isclose(math.fsum(f for _, f in side), 1.0)
 
 
 def test_alist_roundtrip_small():
-    g = build_graph([[0, 1], [1, 2], [0, 2, 3]], 4)
+    g = TannerGraph.from_rows([[0, 1], [1, 2], [0, 2, 3]], 4)
     assert parse_alist(format_alist(g)) == g
 
 
@@ -178,7 +182,7 @@ def test_alist_zero_padding_ignored():
 
 
 def test_alist_inconsistent_sides_rejected():
-    g = build_graph([[0, 1], [1, 2]], 3)
+    g = TannerGraph.from_rows([[0, 1], [1, 2]], 3)
     text = format_alist(g).splitlines()
     text[4] = "2"  # column 0 claims check 2 instead of check 1
     with pytest.raises(GraphValidationError):
@@ -188,6 +192,15 @@ def test_alist_inconsistent_sides_rejected():
 def test_alist_bad_dimensions():
     with pytest.raises(GraphValidationError):
         parse_alist("0 1\n0 0\n\n\n")
+
+
+def test_alist_max_degree_line_checked():
+    lines = format_alist(TannerGraph.from_rows([[0, 1], [1, 2, 3]], 4)).splitlines()
+    assert lines[1] == "2 3"
+    for bad in ("zz qq", "2", "2 3 3", "1 3", "2 2"):
+        lines[1] = bad
+        with pytest.raises(GraphValidationError, match="line 2"):
+            parse_alist("\n".join(lines) + "\n")
 
 
 def test_alist_writer_is_deterministic(rng):
@@ -207,7 +220,7 @@ def test_permutation_file_rejects_bad_count():
 
 
 def test_graphs_share_nothing_after_copy():
-    g = build_graph([[0, 1], [1, 2]], 3)
+    g = TannerGraph.from_rows([[0, 1], [1, 2]], 3)
     h = g.copy()
     h.swap_columns(0, 2)
     assert g.check_adj == [[0, 1], [1, 2]]

@@ -90,6 +90,9 @@ def test_threshold_tolerance_scaling(reg36):
     coarse = threshold(reg36, 1e-4)
     fine = threshold(reg36, 5e-5)
     assert abs(coarse - fine) <= 1e-4
+    for bad in (0.0, -1e-4, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            threshold(reg36, bad)
 
 
 def test_threshold_deterministic(reg36):
