@@ -14,8 +14,8 @@ from .pss import (PssConfig, PssReport, PssResult, PssRow, choose_swap_target,
                   eligible_swap_targets, pivot_pool_for_burst, pss_optimize)
 from .stopset import (ENUMERATION_LIMIT, InducedSubgraph, PivotSet, StoppingSet,
                       all_pivots_oracle, enumerate_stopping_sets, induced_subgraph,
-                      is_pivot_oracle, is_stopping_set, min_stopping_set_span,
-                      neighboring_pivots, pivot_search)
+                      is_stopping_set, min_stopping_set_span, neighboring_pivots,
+                      pivot_search)
 from .tanner import (DegreeDistribution, GraphValidationError,
                      InternalInvariantError, Permutation, TannerGraph, format_alist,
                      format_permutation, parse_alist, parse_permutation, read_alist,
@@ -32,7 +32,7 @@ __all__ = [
     "TannerGraph", "all_pivots_oracle", "choose_swap_target",
     "compute_lmax", "de_step", "eligible_swap_targets", "enumerate_stopping_sets",
     "fixtures", "format_alist", "format_permutation", "gen_regular",
-    "induced_subgraph", "is_pivot_oracle", "is_stopping_set", "lmax_target",
+    "induced_subgraph", "is_stopping_set", "lmax_target",
     "min_stopping_set_span", "neighboring_pivots", "parse_alist",
     "parse_permutation", "pivot_pool_for_burst", "pivot_search", "pss_optimize",
     "read_alist", "read_permutation", "scan_length", "threshold", "write_alist",

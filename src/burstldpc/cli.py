@@ -17,7 +17,7 @@ from pathlib import Path
 from .burst import compute_lmax, scan_length
 from .codegen import GenSpec, fixtures, gen_regular
 from .pss import PssConfig, pss_optimize
-from .stopset import all_pivots_oracle, enumerate_stopping_sets
+from .stopset import ENUMERATION_LIMIT, all_pivots_oracle, enumerate_stopping_sets
 from .tanner import (GraphValidationError, InternalInvariantError, TannerGraph,
                      format_alist, format_permutation, read_alist, write_alist,
                      write_permutation)
@@ -156,8 +156,7 @@ def _cmd_pss(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
         pivot_pool_policy="full-closure" if args.pool == "closure" else "one-hop",
         restrict_to_systematic=allowed,
-        max_length=args.max_length,
-        early_exit=not args.no_early_exit)
+        max_length=args.max_length)
     result = pss_optimize(g, cfg)
     if args.out:
         write_alist(result.graph, args.out)
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stopsets", help="enumerate stopping sets (small graphs)")
     p.add_argument("input")
-    p.add_argument("--max-n", type=int, default=24)
+    p.add_argument("--max-n", type=int, default=ENUMERATION_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_stopsets)
 
@@ -230,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systematic-range", type=int, nargs=2, metavar=("START", "STOP"),
                    help="swap only columns START..STOP-1")
     p.add_argument("--max-length", type=int)
-    p.add_argument("--no-early-exit", action="store_true",
-                   help="full re-scans, for exact decode accounting")
     p.add_argument("--out", help="optimized graph (alist)")
     p.add_argument("--perm", help="column permutation file")
     p.add_argument("--report", help="per-length CSV report")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .tanner import TannerGraph
 
@@ -44,7 +45,8 @@ def gen_regular(spec: GenSpec) -> TannerGraph:
     rng = random.Random(spec.rng_seed)
     rows = _matched_rows(rng, n, m, dv, dc)
     if spec.girth_floor >= 6:
-        _break_four_cycles(rng, rows, m, dc)
+        # Best effort: a spent budget leaves the remaining 4-cycles in place.
+        _repair(rng, rows, m, dc, _four_cycle_conflicts, _FOUR_CYCLE_PASSES)
     return TannerGraph.from_rows(rows, n)
 
 
@@ -54,19 +56,25 @@ def _matched_rows(rng: random.Random, n: int, m: int, dv: int,
     for _ in range(_REPAIR_PASSES):
         rng.shuffle(sockets)
         rows = [sockets[c * dc:(c + 1) * dc] for c in range(m)]
-        if _repair_parallel(rng, rows, m, dc):
+        if _repair(rng, rows, m, dc, _parallel_conflicts, _REPAIR_PASSES):
             return rows
     raise ValueError("could not realize the degree sequence without parallel edges")
 
 
-def _repair_parallel(rng: random.Random, rows: list[list[int]], m: int,
-                     dc: int) -> bool:
-    for _ in range(_REPAIR_PASSES):
-        conflicts = [(c, i) for c in range(m) for i in range(dc)
-                     if rows[c].count(rows[c][i]) > 1]
-        if not conflicts:
+def _repair(rng: random.Random, rows: list[list[int]], m: int, dc: int,
+            conflicts: Callable[[list[list[int]], int], list[tuple[int, int]]],
+            passes: int) -> bool:
+    """Move one conflicting entry per pass to another row; True once none is left.
+
+    Each pass picks a random (check, slot) from ``conflicts(rows, m)`` and
+    tries up to 60 random slots of other rows for an exchange that puts
+    neither variable twice into one row.
+    """
+    for _ in range(passes):
+        found = conflicts(rows, m)
+        if not found:
             return True
-        c, i = conflicts[rng.randrange(len(conflicts))]
+        c, i = found[rng.randrange(len(found))]
         v = rows[c][i]
         for _ in range(60):
             c2 = rng.randrange(m)
@@ -81,38 +89,23 @@ def _repair_parallel(rng: random.Random, rows: list[list[int]], m: int,
     return False
 
 
-def _four_cycle_conflicts(rows: list[list[int]],
-                          m: int) -> list[tuple[int, int, int]]:
-    """(check1, check2, shared variable) triples behind each 4-cycle."""
+def _parallel_conflicts(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
+    """(check, slot) of every entry whose variable repeats in its row."""
+    return [(c, i) for c in range(m) for i, v in enumerate(rows[c])
+            if rows[c].count(v) > 1]
+
+
+def _four_cycle_conflicts(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
+    """(check, slot) of each shared variable in the later of two checks
+    that share two or more variables, one entry per 4-cycle triple."""
     row_sets = [set(row) for row in rows]
     out = []
     for c1 in range(m):
         for c2 in range(c1 + 1, m):
             shared = row_sets[c1] & row_sets[c2]
             if len(shared) >= 2:
-                out.extend((c1, c2, v) for v in sorted(shared))
+                out.extend((c2, rows[c2].index(v)) for v in sorted(shared))
     return out
-
-
-def _break_four_cycles(rng: random.Random, rows: list[list[int]], m: int,
-                       dc: int) -> None:
-    for _ in range(_FOUR_CYCLE_PASSES):
-        conflicts = _four_cycle_conflicts(rows, m)
-        if not conflicts:
-            return
-        _, c2, v = conflicts[rng.randrange(len(conflicts))]
-        i = rows[c2].index(v)
-        for _ in range(60):
-            c3 = rng.randrange(m)
-            if c3 == c2:
-                continue
-            i3 = rng.randrange(dc)
-            u = rows[c3][i3]
-            if u == v or u in rows[c2] or v in rows[c3]:
-                continue
-            rows[c2][i], rows[c3][i3] = u, v
-            break
-    # Budget exhausted: leave the remaining 4-cycles in place.
 
 
 def fixtures() -> dict[str, TannerGraph]:

@@ -12,9 +12,12 @@ pivots may only move outward, interior pivots may leave on either side,
 and targets avoid the other windows' pivot pools and this round's
 earlier targets.
 
-If the re-scan at length L still finds an uncorrectable window, the
-whole round of swaps is undone and retried with fresh randomness; after
-``f_max`` consecutive failures at one length the optimizer stops.  Pivot
+A round's swaps are all chosen before any is applied; a round with no
+eligible pivot or target for some window is aborted untouched.  The
+chosen swaps are then applied and the length re-scanned, stopping at
+the first uncorrectable window; if there is one, the swaps are reversed
+and the round retried with fresh randomness.  After ``f_max``
+consecutive failed rounds at one length the optimizer stops.  Pivot
 pools are computed once per length: a refused round restores the graph
 exactly, so they stay valid across retries.
 
@@ -42,11 +45,9 @@ class PssConfig:
 
     ``f_max`` defaults to n at run time.  ``restrict_to_systematic``
     limits both the swapped pivot and the target column to the given
-    index set (empty/None means all columns).  ``early_exit`` lets the
-    validating re-scan of a failed round stop at its first failure;
-    disable it to make the per-length decode accounting exact.
-    ``validate_rollback`` snapshots the graph around every round and
-    verifies refused rounds restore it, for tests.
+    index set (empty/None means all columns).  ``validate_rollback``
+    snapshots the graph before every applied round and verifies that a
+    refused round restores it, for tests.
     """
 
     f_max: int | None = None
@@ -54,7 +55,6 @@ class PssConfig:
     pivot_pool_policy: str = "one-hop"
     restrict_to_systematic: frozenset[int] | None = None
     max_length: int | None = None
-    early_exit: bool = True
     validate_rollback: bool = False
 
     def __post_init__(self) -> None:
@@ -74,9 +74,10 @@ class PssRow:
     ``f_act`` counts swap trials that ran the validating re-scan (the
     accepting trial included); rounds aborted before any re-scan, for
     lack of an eligible target, are in ``aborted_rounds`` and count only
-    toward the failure budget.  With early exit disabled,
-    ``decode_calls`` equals (f_act + 1) * (n - length + 1): one full
-    scan finding the failures plus one per trial.
+    toward the failure budget.  ``decode_calls`` counts the windows
+    peeled: the first full scan's n - length + 1, plus, for each trial,
+    the re-scan's windows up to and including its first failure (all
+    n - length + 1 for an accepting re-scan).
     """
 
     length: int
@@ -92,9 +93,6 @@ class PssReport:
     rows: tuple[PssRow, ...]
     original_lmax: int
     final_lmax: int
-
-    def accepted_rows(self) -> tuple[PssRow, ...]:
-        return tuple(row for row in self.rows if row.accepted)
 
 
 class PssResult(NamedTuple):
@@ -163,62 +161,39 @@ def choose_swap_target(rng: random.Random, n: int, burst: Burst, pivot: int,
     return candidates[rng.randrange(len(candidates))]
 
 
-class _PermTracker:
-    """Original->current position map maintained across in-place swaps."""
-
-    __slots__ = ("position", "original")
-
-    def __init__(self, n: int) -> None:
-        self.position = list(range(n))
-        self.original = list(range(n))
-
-    def swap(self, a: int, b: int) -> None:
-        oa, ob = self.original[a], self.original[b]
-        self.position[oa], self.position[ob] = b, a
-        self.original[a], self.original[b] = ob, oa
-
-    def permutation(self) -> Permutation:
-        return Permutation(tuple(self.position))
-
-
-def _swap_round(rng: random.Random, work: TannerGraph, tracker: _PermTracker,
-                bursts: list[Burst], pools: list[PivotSet],
+def _swap_round(rng: random.Random, n: int, bursts: list[Burst],
+                pools: list[PivotSet],
                 allowed: frozenset[int] | None) -> list[tuple[int, int]] | None:
-    """One attempt: pick pivot+target per window, apply the swaps.
+    """Choose one (pivot, target) swap per window, without applying any.
 
-    Returns the applied swaps, or None after undoing partial work when
-    some window has no eligible pivot or target.
+    No choice reads the graph: pivots come from the pools and targets
+    from the window, ``allowed`` and this round's earlier targets.
+    Returns None when some window has no eligible pivot or target.
     """
     pool_sets = [set(p.pivots) for p in pools]
     swaps: list[tuple[int, int]] = []
-    targets: list[int] = []
     for i, (burst, pool) in enumerate(zip(bursts, pools)):
         pivot_candidates = sorted(
             pool.pivots if allowed is None else pool.pivots & allowed)
         if not pivot_candidates:
-            _undo(work, tracker, swaps)
             return None
         pivot = pivot_candidates[rng.randrange(len(pivot_candidates))]
-        excluded: set[int] = set(targets)
+        excluded = {t for _, t in swaps}
         for j, other in enumerate(pool_sets):
             if j != i:
                 excluded |= other
-        target = choose_swap_target(rng, work.n, burst, pivot, excluded, allowed)
+        target = choose_swap_target(rng, n, burst, pivot, excluded, allowed)
         if target is None:
-            _undo(work, tracker, swaps)
             return None
-        work.swap_columns(pivot, target)
-        tracker.swap(pivot, target)
         swaps.append((pivot, target))
-        targets.append(target)
     return swaps
 
 
-def _undo(work: TannerGraph, tracker: _PermTracker,
-          swaps: list[tuple[int, int]]) -> None:
-    for a, b in reversed(swaps):
+def _apply(work: TannerGraph, original: list[int],
+           swaps: Iterable[tuple[int, int]]) -> None:
+    for a, b in swaps:
         work.swap_columns(a, b)
-        tracker.swap(a, b)
+        original[a], original[b] = original[b], original[a]
 
 
 def _snapshot(g: TannerGraph) -> tuple[list[list[int]], list[list[int]]]:
@@ -236,66 +211,48 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
     n = g.n
     f_max = cfg.f_max if cfg.f_max is not None else n
     allowed = cfg.restrict_to_systematic or None
+    last = n if cfg.max_length is None else min(n, cfg.max_length)
     rng = random.Random(cfg.rng_seed)
 
     work = g.copy()
-    tracker = _PermTracker(n)
+    original = list(range(n))  # original[j]: input column now at position j
     original_lmax = compute_lmax(work)
     rows: list[PssRow] = []
     length = original_lmax + 1
-    budget_exhausted = False
 
-    while not budget_exhausted and length <= n:
-        if cfg.max_length is not None and length > cfg.max_length:
-            break
+    while length <= last:
         scan = scan_length(work, length, early_exit=False, collect_residuals=True)
         row_calls = scan.decode_calls
-        if scan.n_b == 0:
-            rows.append(PssRow(length, 0, 0, row_calls, True))
-            length += 1
-            continue
-
+        accepted = scan.n_b == 0
         bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
         pools = [pivot_pool_for_burst(work, b, r, policy=cfg.pivot_pool_policy)
                  for b, r in zip(bursts, scan.residuals)]
-        failures = 0
-        trials = 0
-        aborts = 0
-        accepted = False
-        while True:
-            before = _snapshot(work) if cfg.validate_rollback else None
-            swaps = _swap_round(rng, work, tracker, bursts, pools, allowed)
+        trials = aborts = 0
+        while not accepted and trials + aborts < f_max:
+            swaps = _swap_round(rng, n, bursts, pools, allowed)
             if swaps is None:
                 aborts += 1
-                failures += 1
-                if before is not None and _snapshot(work) != before:
-                    raise InternalInvariantError("aborted round left the graph modified")
-                if failures >= f_max:
-                    break
                 continue
-            rescan = scan_length(work, length, early_exit=cfg.early_exit,
+            before = _snapshot(work) if cfg.validate_rollback else None
+            _apply(work, original, swaps)
+            rescan = scan_length(work, length, early_exit=True,
                                  collect_residuals=False)
             row_calls += rescan.decode_calls
             trials += 1
-            if rescan.n_b == 0:
-                accepted = True
-                break
-            _undo(work, tracker, swaps)
-            if before is not None and _snapshot(work) != before:
-                raise InternalInvariantError("refused round did not restore the graph")
-            failures += 1
-            if failures >= f_max:
-                break
+            accepted = rescan.n_b == 0
+            if not accepted:
+                _apply(work, original, reversed(swaps))
+                if before is not None and _snapshot(work) != before:
+                    raise InternalInvariantError(
+                        "refused round did not restore the graph")
         rows.append(PssRow(length, scan.n_b, trials, row_calls, accepted, aborts))
-        if accepted:
-            length += 1
-        else:
-            budget_exhausted = True
+        if not accepted:
+            break
+        length += 1
 
-    last_accepted = length - 1
     final_lmax = compute_lmax(work)
-    if final_lmax < last_accepted:
+    if final_lmax < length - 1:
         raise InternalInvariantError(
-            f"verification scan found L_max {final_lmax} below accepted {last_accepted}")
+            f"verification scan found L_max {final_lmax} below accepted {length - 1}")
     report = PssReport(tuple(rows), original_lmax, final_lmax)
-    return PssResult(work, tracker.permutation(), report)
+    return PssResult(work, Permutation(tuple(original)).inverse(), report)

@@ -209,14 +209,6 @@ def induced_subgraph(g: TannerGraph, members: Iterable[int]) -> InducedSubgraph:
         {v: tuple(g.var_adj[v]) for v in s})
 
 
-def is_pivot_oracle(g: TannerGraph, s: StoppingSet | Iterable[int], v: int) -> bool:
-    """Direct check: does knowing ``v`` let peeling clear the rest of the set?"""
-    members = _validate_members(g, s)
-    if v not in members:
-        raise ValueError(f"variable {v} is not a member of the stopping set")
-    return PeelingDecoder(g).peel(members - {v}).success
-
-
 def all_pivots_oracle(g: TannerGraph, s: StoppingSet | Iterable[int]) -> PivotSet:
     """Exact pivot set by trying every member; size is never exactly 1."""
     members = _validate_members(g, s)

@@ -97,8 +97,8 @@ def _converges(dist: EdgeDistribution, p: float) -> bool:
 
 def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
     """Threshold p* by bisection on convergence of the iterates from x = 1."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must be in (0, 1), got {tol}")
     if any(deg == 1 for deg, _ in dist.lam):
         raise ValueError(
             "degree-1 variable nodes make density evolution non-convergent "

@@ -130,7 +130,7 @@ def test_threshold_multiplicities(capsys):
 
 
 def test_threshold_rejects_bad_tolerance(capsys):
-    for tol in ("nan", "0", "-1e-3"):
+    for tol in ("nan", "0", "-1e-3", "1", "inf"):
         code, out, err = run(capsys, "threshold", "--regular", "3", "6", f"--tol={tol}")
         assert code == 1
         assert out == ""

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstldpc import (Burst, GenSpec, InternalInvariantError, PssConfig,
                        choose_swap_target, compute_lmax, eligible_swap_targets,
                        fixtures, gen_regular, pivot_pool_for_burst, pss_optimize,
                        scan_length)
-from burstldpc.pss import _PermTracker, _swap_round
+from burstldpc.pss import _snapshot, _swap_round
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +119,10 @@ def test_swap_round_displaces_pivot_span_beyond_length():
     bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
     pools = [pivot_pool_for_burst(g, b, r)
              for b, r in zip(bursts, scan.residuals)]
-    work = g.copy()
-    swaps = _swap_round(random.Random(5), work, _PermTracker(g.n), bursts, pools,
-                        None)
+    before = _snapshot(g)
+    swaps = _swap_round(random.Random(5), g.n, bursts, pools, None)
     assert swaps is not None
+    assert _snapshot(g) == before  # choosing a round never touches the graph
     for burst, pool, (pivot, target) in zip(bursts, pools, swaps):
         relabeled = {target if v == pivot else v for v in pool.pivots}
         span = max(relabeled) - min(relabeled) + 1
@@ -156,7 +158,7 @@ def test_optimizer_improves_and_conserves(code128):
     assert report.final_lmax == compute_lmax(result.graph)
     assert result.graph == code128.apply_permutation(result.permutation)
     assert result.graph.degree_distribution() == code128.degree_distribution()
-    accepted = [row.length for row in report.accepted_rows()]
+    accepted = [row.length for row in report.rows if row.accepted]
     assert accepted == sorted(set(accepted))
     assert accepted and accepted[-1] == report.final_lmax
 
@@ -175,21 +177,14 @@ def test_rollback_restores_graph_exactly(code128):
     cfg = PssConfig(rng_seed=2, validate_rollback=True)
     result = pss_optimize(code128, cfg)
     # validate_rollback makes the optimizer itself compare snapshots after
-    # every refused or aborted round; make sure refusals actually happened.
-    assert any(row.f_act > 1 or not row.accepted for row in result.report.rows)
+    # every refused round; make sure refusals actually happened.
+    assert any(row.f_act > row.accepted for row in result.report.rows)
     assert result.report.final_lmax >= result.report.original_lmax
-
-
-def test_accounting_exact_without_early_exit():
-    g = gen_regular(GenSpec(n=64, m=32, var_degree=3, check_degree=6, rng_seed=4))
-    result = pss_optimize(g, PssConfig(rng_seed=3, early_exit=False, f_max=16))
-    for row in result.report.rows:
-        assert row.decode_calls == (row.f_act + 1) * (g.n - row.length + 1)
 
 
 def test_accounting_bounded_with_early_exit():
     g = gen_regular(GenSpec(n=64, m=32, var_degree=3, check_degree=6, rng_seed=4))
-    result = pss_optimize(g, PssConfig(rng_seed=3, early_exit=True, f_max=16))
+    result = pss_optimize(g, PssConfig(rng_seed=3, f_max=16))
     for row in result.report.rows:
         assert row.decode_calls <= (row.f_act + 1) * (g.n - row.length + 1)
         # Each trial decodes at least once, as does the initial scan.
@@ -224,3 +219,21 @@ def test_full_closure_policy_runs(code128):
                                              pivot_pool_policy="full-closure"))
     assert result.report.final_lmax >= result.report.original_lmax
     assert result.graph == code128.apply_permutation(result.permutation)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from((48, 64, 96)),
+       code_seed=st.integers(0, 2 ** 16),
+       rng_seed=st.integers(0, 2 ** 16),
+       policy=st.sampled_from(("one-hop", "full-closure")))
+def test_pss_properties(n, code_seed, rng_seed, policy):
+    g = gen_regular(GenSpec(n=n, m=n // 2, var_degree=3, check_degree=6,
+                            rng_seed=code_seed))
+    result = pss_optimize(g, PssConfig(rng_seed=rng_seed, pivot_pool_policy=policy))
+    assert result.graph == g.apply_permutation(result.permutation)
+    assert result.graph.degree_distribution() == g.degree_distribution()
+    report = result.report
+    assert report.original_lmax <= report.final_lmax == compute_lmax(result.graph)
+    for row in report.rows:
+        windows = n - row.length + 1
+        assert windows + row.f_act <= row.decode_calls <= (row.f_act + 1) * windows

@@ -2,7 +2,7 @@ import pytest
 
 from burstldpc import (PeelingDecoder, StoppingSet, TannerGraph, all_pivots_oracle,
                        enumerate_stopping_sets, fixtures, induced_subgraph,
-                       is_pivot_oracle, is_stopping_set, min_stopping_set_span,
+                       is_stopping_set, min_stopping_set_span,
                        neighboring_pivots, pivot_search)
 from conftest import brute_stopping_sets, random_graph
 
@@ -101,20 +101,11 @@ def test_induced_subgraph_rejects_non_stopping_set():
 
 def test_pivot_oracle_cycle4():
     g = fixtures()["cycle4"]
-    for v in range(4):
-        assert is_pivot_oracle(g, range(4), v)
-
-
-def test_pivot_oracle_requires_membership():
-    g = fixtures()["cycle4"]
-    with pytest.raises(ValueError):
-        is_pivot_oracle(g, {0, 1, 2, 3}, 4)
+    assert all_pivots_oracle(g, range(4)).pivots == {0, 1, 2, 3}
 
 
 def test_no_pivots_without_degree2_checks():
     g = fixtures()["nopivot6"]
-    for v in range(6):
-        assert not is_pivot_oracle(g, range(6), v)
     assert all_pivots_oracle(g, range(6)).pivots == frozenset()
 
 
