@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .burst import compute_lmax, scan_length
-from .codegen import GenSpec, fixtures, gen_regular
+from .codegen import GenSpec, fixtures, four_cycle_count, gen_regular
 from .pss import PssConfig, pss_optimize
 from .stopset import ENUMERATION_LIMIT, all_pivots_oracle, enumerate_stopping_sets
 from .tanner import (GraphValidationError, InternalInvariantError, TannerGraph,
@@ -47,8 +47,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                    rng_seed=args.seed, girth_floor=args.girth_floor)
     g = gen_regular(spec)
     _emit(format_alist(g), args.out)
-    print(f"generated ({args.dv},{args.dc})-regular graph: n={g.n} m={g.m} "
-          f"edges={g.edge_count}", file=sys.stderr)
+    summary = (f"generated ({args.dv},{args.dc})-regular graph: n={g.n} m={g.m} "
+               f"edges={g.edge_count}")
+    if spec.girth_floor >= 6:
+        summary += f" 4-cycles={four_cycle_count(g)}"
+    print(summary, file=sys.stderr)
     return 0
 
 

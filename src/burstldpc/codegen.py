@@ -4,13 +4,21 @@ The regular generator is test plumbing, not a code-construction method:
 it pairs edge sockets by random matching, repairs parallel edges by
 local swaps, and (best-effort, within a budget) breaks 4-cycles the
 same way.  Everything is reproducible from the seed.
+
+4-cycle repair reads its conflicts from a tracker of the check pairs
+that share two or more variables.  The tracker is built once through a
+variable -> checks index, and each move re-pairs only the two rows it
+touched instead of comparing all m^2/2 row pairs again.  Its conflict
+list has the order an all-pairs scan gives (ascending check pairs,
+ascending shared variables), so the rng draws, and the codes, depend
+on the seed alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 from .tanner import TannerGraph
 
@@ -46,8 +54,16 @@ def gen_regular(spec: GenSpec) -> TannerGraph:
     rows = _matched_rows(rng, n, m, dv, dc)
     if spec.girth_floor >= 6:
         # Best effort: a spent budget leaves the remaining 4-cycles in place.
-        _repair(rng, rows, m, dc, _four_cycle_conflicts, _FOUR_CYCLE_PASSES)
+        _repair(rng, rows, dc, _FourCycles(rows, n), _FOUR_CYCLE_PASSES)
     return TannerGraph.from_rows(rows, n)
+
+
+def four_cycle_count(g: TannerGraph) -> int:
+    """Number of check pairs that share two or more variables.
+
+    Each such pair closes at least one 4-cycle; 0 means girth 6 or more.
+    """
+    return len(_FourCycles(g.check_adj, g.n).shared)
 
 
 def _matched_rows(rng: random.Random, n: int, m: int, dv: int,
@@ -56,22 +72,92 @@ def _matched_rows(rng: random.Random, n: int, m: int, dv: int,
     for _ in range(_REPAIR_PASSES):
         rng.shuffle(sockets)
         rows = [sockets[c * dc:(c + 1) * dc] for c in range(m)]
-        if _repair(rng, rows, m, dc, _parallel_conflicts, _REPAIR_PASSES):
+        if _repair(rng, rows, dc, _ParallelEdges(rows), _REPAIR_PASSES):
             return rows
     raise ValueError("could not realize the degree sequence without parallel edges")
 
 
-def _repair(rng: random.Random, rows: list[list[int]], m: int, dc: int,
-            conflicts: Callable[[list[list[int]], int], list[tuple[int, int]]],
-            passes: int) -> bool:
+class _ParallelEdges:
+    """(check, slot) of every entry whose variable repeats in its row.
+
+    Rescanned on every pass; O(m*dc^2) is cheap next to the matching.
+    """
+
+    def __init__(self, rows: list[list[int]]) -> None:
+        self.rows = rows
+
+    def conflicts(self) -> list[tuple[int, int]]:
+        return [(c, i) for c, row in enumerate(self.rows)
+                for i, v in enumerate(row) if row.count(v) > 1]
+
+    def moved(self, c: int, i: int, c2: int, i2: int) -> None:
+        pass
+
+
+class _FourCycles:
+    """Check pairs that share two or more variables, kept current move by move.
+
+    Holds a variable -> checks index and, for each such pair ``(c1, c2)``
+    with c1 < c2, its shared variables in ascending order.  Both are
+    built once.  A move between rows c and c2 drops the pairs involving
+    either row and pairs the two rows up again through the index: O(dc*dv)
+    plus one pass over the few pairs still open, where an all-pairs
+    rescan costs O(m^2*dc).  Rows must hold no variable twice.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], n: int) -> None:
+        self.rows = rows
+        self.var_checks: list[set[int]] = [set() for _ in range(n)]
+        for c, row in enumerate(rows):
+            for v in row:
+                self.var_checks[v].add(c)
+        self.shared: dict[tuple[int, int], list[int]] = {}
+        for c in range(len(rows)):
+            self._pair_up(c)
+
+    def _pair_up(self, c: int) -> None:
+        hits: dict[int, list[int]] = {}
+        for v in self.rows[c]:
+            for d in self.var_checks[v]:
+                if d != c:
+                    hits.setdefault(d, []).append(v)
+        for d, common in hits.items():
+            if len(common) >= 2:
+                self.shared[(c, d) if c < d else (d, c)] = sorted(common)
+
+    def conflicts(self) -> list[tuple[int, int]]:
+        """(c2, slot of v in row c2) for each shared v of each pair, in
+        ascending (c1, c2) order and ascending v within a pair."""
+        rows = self.rows
+        return [(c2, rows[c2].index(v))
+                for (_, c2), common in sorted(self.shared.items()) for v in common]
+
+    def moved(self, c: int, i: int, c2: int, i2: int) -> None:
+        """Rows c and c2 exchanged their entries at slots i and i2."""
+        u, v = self.rows[c][i], self.rows[c2][i2]
+        self.var_checks[v].discard(c)
+        self.var_checks[v].add(c2)
+        self.var_checks[u].discard(c2)
+        self.var_checks[u].add(c)
+        self.shared = {pair: common for pair, common in self.shared.items()
+                       if c not in pair and c2 not in pair}
+        self._pair_up(c)
+        self._pair_up(c2)
+
+
+def _repair(rng: random.Random, rows: list[list[int]], dc: int,
+            tracker: _ParallelEdges | _FourCycles, passes: int) -> bool:
     """Move one conflicting entry per pass to another row; True once none is left.
 
-    Each pass picks a random (check, slot) from ``conflicts(rows, m)`` and
-    tries up to 60 random slots of other rows for an exchange that puts
-    neither variable twice into one row.
+    Each pass picks a random (check, slot) from ``tracker.conflicts()``
+    and tries up to 60 random slots of other rows for an exchange that
+    puts neither variable twice into one row.  A made exchange is
+    reported to ``tracker.moved``, so that the 4-cycle tracker updates
+    only the two rows it touched.
     """
+    m = len(rows)
     for _ in range(passes):
-        found = conflicts(rows, m)
+        found = tracker.conflicts()
         if not found:
             return True
         c, i = found[rng.randrange(len(found))]
@@ -85,27 +171,9 @@ def _repair(rng: random.Random, rows: list[list[int]], m: int, dc: int,
             if u == v or u in rows[c] or v in rows[c2]:
                 continue
             rows[c][i], rows[c2][i2] = u, v
+            tracker.moved(c, i, c2, i2)
             break
     return False
-
-
-def _parallel_conflicts(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
-    """(check, slot) of every entry whose variable repeats in its row."""
-    return [(c, i) for c in range(m) for i, v in enumerate(rows[c])
-            if rows[c].count(v) > 1]
-
-
-def _four_cycle_conflicts(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
-    """(check, slot) of each shared variable in the later of two checks
-    that share two or more variables, one entry per 4-cycle triple."""
-    row_sets = [set(row) for row in rows]
-    out = []
-    for c1 in range(m):
-        for c2 in range(c1 + 1, m):
-            shared = row_sets[c1] & row_sets[c2]
-            if len(shared) >= 2:
-                out.extend((c2, rows[c2].index(v)) for v in sorted(shared))
-    return out
 
 
 def fixtures() -> dict[str, TannerGraph]:

@@ -19,7 +19,9 @@ the first uncorrectable window; if there is one, the swaps are reversed
 and the round retried with fresh randomness.  After ``f_max``
 consecutive failed rounds at one length the optimizer stops.  Pivot
 pools are computed once per length: a refused round restores the graph
-exactly, so they stay valid across retries.
+exactly, so they stay valid across retries.  So are each window's
+swappable pivots and the union of the other windows' pools; a round
+adds only its own earlier targets.
 
 Only column transpositions are ever applied.  The output graph is a
 column relabeling of the input, so sparsity, degree distribution, and
@@ -29,8 +31,10 @@ decoding behavior under independent erasures are untouched.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Collection, Iterable, NamedTuple
 
 from .burst import Burst, compute_lmax, scan_length
 from .stopset import PivotSet, induced_subgraph, neighboring_pivots, pivot_search
@@ -128,31 +132,30 @@ def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
 
 
 def eligible_swap_targets(n: int, burst: Burst, pivot: int,
-                          excluded: Iterable[int],
+                          excluded: Collection[int],
                           allowed: frozenset[int] | None = None) -> list[int]:
     """Columns the chosen pivot may be swapped with, ascending.
 
     Always outside the window and outside ``excluded`` (other windows'
-    pools, targets already chosen this round).  An endpoint pivot may
+    pools, targets already chosen this round; a set, since every
+    candidate is tested against it).  An endpoint pivot may
     only move outward -- below the window for the first position, above
     it for the last -- otherwise its displaced position could land close
     enough to the window to leave the pivot span too small.
     """
-    banned = set(excluded)
+    below, above = range(0, burst.start), range(burst.stop, n)
     if pivot == burst.start:
-        candidates = range(0, burst.start)
+        candidates: Iterable[int] = below
     elif pivot == burst.last:
-        candidates = range(burst.stop, n)
+        candidates = above
     else:
-        candidates = range(0, n)
+        candidates = chain(below, above)
     return [j for j in candidates
-            if (j < burst.start or j >= burst.stop)
-            and j not in banned
-            and (allowed is None or j in allowed)]
+            if j not in excluded and (allowed is None or j in allowed)]
 
 
 def choose_swap_target(rng: random.Random, n: int, burst: Burst, pivot: int,
-                       excluded: Iterable[int],
+                       excluded: Collection[int],
                        allowed: frozenset[int] | None = None) -> int | None:
     """Uniform choice among eligible targets; None when none exists."""
     candidates = eligible_swap_targets(n, burst, pivot, excluded, allowed)
@@ -161,31 +164,39 @@ def choose_swap_target(rng: random.Random, n: int, burst: Burst, pivot: int,
     return candidates[rng.randrange(len(candidates))]
 
 
+def _round_choices(pools: list[PivotSet], allowed: frozenset[int] | None
+                   ) -> tuple[list[list[int]], list[frozenset[int]]]:
+    """Per window, its swappable pivots ascending and the union of every
+    other window's pool; both are fixed for the whole length."""
+    counts = Counter(j for pool in pools for j in pool.pivots)
+    pivots = [sorted(p.pivots if allowed is None else p.pivots & allowed)
+              for p in pools]
+    others = [frozenset(j for j, k in counts.items() if k > (j in p.pivots))
+              for p in pools]
+    return pivots, others
+
+
 def _swap_round(rng: random.Random, n: int, bursts: list[Burst],
-                pools: list[PivotSet],
+                pivots: list[list[int]], others: list[frozenset[int]],
                 allowed: frozenset[int] | None) -> list[tuple[int, int]] | None:
     """Choose one (pivot, target) swap per window, without applying any.
 
-    No choice reads the graph: pivots come from the pools and targets
-    from the window, ``allowed`` and this round's earlier targets.
-    Returns None when some window has no eligible pivot or target.
+    ``pivots`` and ``others`` come from ``_round_choices``; only this
+    round's earlier targets are added per window.  No choice reads the
+    graph.  Returns None when some window has no eligible pivot or target.
     """
-    pool_sets = [set(p.pivots) for p in pools]
     swaps: list[tuple[int, int]] = []
-    for i, (burst, pool) in enumerate(zip(bursts, pools)):
-        pivot_candidates = sorted(
-            pool.pivots if allowed is None else pool.pivots & allowed)
-        if not pivot_candidates:
+    earlier: set[int] = set()
+    for burst, candidates, banned in zip(bursts, pivots, others):
+        if not candidates:
             return None
-        pivot = pivot_candidates[rng.randrange(len(pivot_candidates))]
-        excluded = {t for _, t in swaps}
-        for j, other in enumerate(pool_sets):
-            if j != i:
-                excluded |= other
-        target = choose_swap_target(rng, n, burst, pivot, excluded, allowed)
+        pivot = candidates[rng.randrange(len(candidates))]
+        target = choose_swap_target(rng, n, burst, pivot,
+                                    (banned | earlier) if earlier else banned, allowed)
         if target is None:
             return None
         swaps.append((pivot, target))
+        earlier.add(target)
     return swaps
 
 
@@ -227,9 +238,10 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
         bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
         pools = [pivot_pool_for_burst(work, b, r, policy=cfg.pivot_pool_policy)
                  for b, r in zip(bursts, scan.residuals)]
+        pivots, others = _round_choices(pools, allowed)
         trials = aborts = 0
         while not accepted and trials + aborts < f_max:
-            swaps = _swap_round(rng, n, bursts, pools, allowed)
+            swaps = _swap_round(rng, n, bursts, pivots, others, allowed)
             if swaps is None:
                 aborts += 1
                 continue

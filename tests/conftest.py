@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's decoding and
 enumeration paths: stopping sets come from itertools subset scans, and
 `sweep_peel` is a naive full-sweep decoder that referees both peeling
 kernels: the work-queue `PeelingDecoder` and the bit-parallel window
-kernel behind `scan_length`.
+kernel behind `scan_length`.  `brute_four_cycle_pairs` compares every
+pair of checks and referees the generator's incremental 4-cycle tracker.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ def brute_lmax(g: TannerGraph) -> int:
             return best
         best = length
     return best
+
+
+def brute_four_cycle_pairs(rows) -> list[tuple[int, int, list[int]]]:
+    """All-pairs 4-cycle finder: (c1, c2, shared variables ascending) for
+    each pair of rows c1 < c2 sharing two or more variables, ascending."""
+    row_sets = [set(row) for row in rows]
+    out = []
+    for c1 in range(len(rows)):
+        for c2 in range(c1 + 1, len(rows)):
+            shared = row_sets[c1] & row_sets[c2]
+            if len(shared) >= 2:
+                out.append((c1, c2, sorted(shared)))
+    return out
 
 
 def random_graph(rng: random.Random, max_n: int = 20) -> TannerGraph:

@@ -6,6 +6,7 @@ import pytest
 from burstldpc import (fixtures, format_alist, parse_alist, parse_permutation,
                        read_alist)
 from burstldpc.cli import main
+from conftest import brute_four_cycle_pairs
 
 
 def run(capsys, *argv):
@@ -58,6 +59,21 @@ def test_gen_then_lmax(tmp_path, capsys):
     code, stdout, _ = run(capsys, "lmax", str(out))
     assert code == 0
     assert stdout.startswith("L_max ")
+
+
+@pytest.mark.parametrize("seed, left", [(1, 10), (2, 0)])
+def test_gen_reports_four_cycles_left(capsys, seed, left):
+    # n=48 is small enough for the repair budget to run out on some seeds.
+    argv = ("gen", "--n", "48", "--m", "24", "--dv", "3", "--dc", "6",
+            "--seed", str(seed))
+    code, out, err = run(capsys, *argv, "--girth-floor", "6")
+    assert code == 0
+    assert err == f"generated (3,6)-regular graph: n=48 m=24 edges=144 4-cycles={left}\n"
+    assert len(brute_four_cycle_pairs(parse_alist(out).check_adj)) == left
+    assert run(capsys, *argv) == (0, out, err)
+    code, _, err = run(capsys, *argv, "--girth-floor", "4")
+    assert code == 0
+    assert "4-cycles" not in err
 
 
 def test_gen_infeasible(capsys):

@@ -8,7 +8,7 @@ from burstldpc import (Burst, GenSpec, InternalInvariantError, PssConfig,
                        choose_swap_target, compute_lmax, eligible_swap_targets,
                        fixtures, gen_regular, pivot_pool_for_burst, pss_optimize,
                        scan_length)
-from burstldpc.pss import _snapshot, _swap_round
+from burstldpc.pss import _round_choices, _snapshot, _swap_round
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,8 @@ def test_swap_round_displaces_pivot_span_beyond_length():
     pools = [pivot_pool_for_burst(g, b, r)
              for b, r in zip(bursts, scan.residuals)]
     before = _snapshot(g)
-    swaps = _swap_round(random.Random(5), g.n, bursts, pools, None)
+    swaps = _swap_round(random.Random(5), g.n, bursts,
+                        *_round_choices(pools, None), None)
     assert swaps is not None
     assert _snapshot(g) == before  # choosing a round never touches the graph
     for burst, pool, (pivot, target) in zip(bursts, pools, swaps):
