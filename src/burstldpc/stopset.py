@@ -7,8 +7,13 @@ a stopping set, when they exist, always come in pairs or more, and any
 pivot's partners across induced-degree-2 checks are pivots themselves;
 that closure is what `pivot_search` walks.
 
-The subset-enumeration routines are verification oracles with 2^n cost
-and are refused above `ENUMERATION_LIMIT` variables.
+Stopping sets are enumerated by a backtracking search over variable
+bitmasks: variables are decided from the highest index down, each
+excluded before it is included, so sets come out in ascending mask
+order, and a branch is cut as soon as a check whose members are all
+decided holds exactly one chosen member.  The worst case is still 2^n
+subsets, so it is refused above `ENUMERATION_LIMIT` variables unless the
+caller raises the limit.
 """
 
 from __future__ import annotations
@@ -16,14 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .peeling import PeelingDecoder
 from .tanner import TannerGraph
 
 ENUMERATION_LIMIT = 24
-_MASK_BITS = 32  # subsets are enumerated as uint32 bitmasks
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,6 @@ class InducedSubgraph:
     def degree(self, check: int) -> int:
         return len(self.check_members[check])
 
-    def component_count(self) -> int:
-        """Connected components over members and their checks."""
-        unvisited = set(self.variables)
-        components = 0
-        while unvisited:
-            components += 1
-            stack = [unvisited.pop()]
-            while stack:
-                v = stack.pop()
-                for c in self.var_checks[v]:
-                    for u in self.check_members[c]:
-                        if u in unvisited:
-                            unvisited.discard(u)
-                            stack.append(u)
-        return components
-
 
 def _validate_members(g: TannerGraph, members: Iterable[int]) -> frozenset[int]:
     out = frozenset(members)
@@ -124,41 +109,32 @@ def is_stopping_set(g: TannerGraph, members: Iterable[int]) -> bool:
     return all(count >= 2 for count in hits.values())
 
 
-def _check_masks(g: TannerGraph) -> list[int]:
-    return [sum(1 << v for v in row) for row in g.check_adj]
+def _stopping_masks(g: TannerGraph, max_n: int) -> Iterator[int]:
+    """Yield the bitmask of every nonempty stopping set, in ascending order.
 
-
-def _iter_stopping_masks(g: TannerGraph, max_n: int) -> Iterator[np.ndarray]:
-    """Yield chunks of subset bitmasks that satisfy the stopping condition."""
-    if max_n > _MASK_BITS:
-        raise ValueError(
-            f"subset enumeration limit {max_n} above {_MASK_BITS} is not supported")
+    ``settled[v]`` holds the checks whose lowest member is ``v``: once
+    ``v`` is decided, all their members are.  An explicit stack, rather
+    than recursion, keeps graphs of any size clear of the recursion limit.
+    """
     if g.n > max_n:
         raise ValueError(
             f"subset enumeration refused: n={g.n} exceeds limit {max_n} "
             f"(cost is 2^n)")
-    masks = _check_masks(g)
-    total = 1 << g.n
-    for start in range(0, total, _CHUNK):
-        subsets = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        bad = np.zeros(subsets.shape, dtype=bool)
-        for mask in masks:
-            bad |= np.bitwise_count(subsets & np.uint32(mask)) == 1
-        keep = subsets[~bad]
-        if start == 0:
-            keep = keep[keep != 0]
-        if keep.size:
-            yield keep
-
-
-def _mask_spans(masks: np.ndarray) -> np.ndarray:
-    """Vectorized span (highest bit - lowest bit + 1) of nonzero masks."""
-    low = np.bitwise_count((masks & (~masks + np.uint32(1))) - np.uint32(1))
-    smear = masks.copy()
-    for shift in (1, 2, 4, 8, 16):
-        smear |= smear >> np.uint32(shift)
-    high = np.bitwise_count(smear) - 1
-    return high.astype(np.int64) - low.astype(np.int64) + 1
+    settled: list[list[int]] = [[] for _ in range(g.n)]
+    for row in g.check_adj:
+        if row:
+            settled[row[0]].append(sum(1 << v for v in row))
+    stack = [(g.n - 1, 0)]
+    while stack:
+        v, chosen = stack.pop()
+        if v < 0:
+            if chosen:
+                yield chosen
+            continue
+        # Pushed include-first so that the exclude branch is walked first.
+        for mask in (chosen | 1 << v, chosen):
+            if all((mask & c).bit_count() != 1 for c in settled[v]):
+                stack.append((v - 1, mask))
 
 
 def _mask_to_members(mask: int) -> tuple[int, ...]:
@@ -174,22 +150,15 @@ def _mask_to_members(mask: int) -> tuple[int, ...]:
 
 def enumerate_stopping_sets(g: TannerGraph,
                             max_n: int = ENUMERATION_LIMIT) -> list[StoppingSet]:
-    """All nonempty stopping sets, by subset enumeration (oracle, small n)."""
-    out: list[StoppingSet] = []
-    for chunk in _iter_stopping_masks(g, max_n):
-        out.extend(StoppingSet(_mask_to_members(int(mask))) for mask in chunk)
-    return out
+    """All nonempty stopping sets, in ascending bitmask order (small n)."""
+    return [StoppingSet(_mask_to_members(mask)) for mask in _stopping_masks(g, max_n)]
 
 
 def min_stopping_set_span(g: TannerGraph,
                           max_n: int = ENUMERATION_LIMIT) -> int | None:
     """Minimum span over all stopping sets; None when no stopping set exists."""
-    best: int | None = None
-    for chunk in _iter_stopping_masks(g, max_n):
-        chunk_min = int(_mask_spans(chunk).min())
-        if best is None or chunk_min < best:
-            best = chunk_min
-    return best
+    return min((mask.bit_length() - (mask & -mask).bit_length() + 1
+                for mask in _stopping_masks(g, max_n)), default=None)
 
 
 def induced_subgraph(g: TannerGraph, members: Iterable[int]) -> InducedSubgraph:

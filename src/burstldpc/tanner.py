@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GraphValidationError(ValueError):
@@ -56,33 +56,11 @@ class Permutation:
     def __call__(self, index: int) -> int:
         return self.mapping[index]
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphValidationError(f"transposition ({a} {b}) out of range for n={n}")
-        images = list(range(n))
-        images[a], images[b] = images[b], images[a]
-        return cls(tuple(images))
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.mapping)
         for old, new in enumerate(self.mapping):
             inv[new] = old
         return Permutation(tuple(inv))
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composition: apply ``self`` first, then ``other``."""
-        if len(other) != len(self):
-            raise GraphValidationError("cannot compose permutations of different lengths")
-        return Permutation(tuple(other.mapping[image] for image in self.mapping))
-
-    def apply_to_indices(self, indices: Iterable[int]) -> frozenset[int]:
-        """Relabel a set of column indices."""
-        return frozenset(self.mapping[i] for i in indices)
 
 
 @dataclass(frozen=True)
@@ -165,10 +143,6 @@ class TannerGraph:
 
     def check_degrees(self) -> list[int]:
         return [len(row) for row in self.check_adj]
-
-    def zero_degree_variables(self) -> tuple[int, ...]:
-        """Columns with no edges: structurally legal but worth flagging."""
-        return tuple(v for v, col in enumerate(self.var_adj) if not col)
 
     def degree_distribution(self) -> DegreeDistribution:
         return DegreeDistribution.from_counts(

@@ -6,6 +6,8 @@ enumeration paths: stopping sets come from itertools subset scans, and
 kernels: the work-queue `PeelingDecoder` and the bit-parallel window
 kernel behind `scan_length`.  `brute_four_cycle_pairs` compares every
 pair of checks and referees the generator's incremental 4-cycle tracker.
+`component_count` counts the connected pieces of a stopping set's
+induced subgraph by a plain graph walk.
 """
 
 from __future__ import annotations
@@ -34,6 +36,22 @@ def brute_stopping_sets(g: TannerGraph) -> list[tuple[int, ...]]:
             if brute_is_stopping_set(g, combo):
                 out.append(combo)
     return out
+
+
+def component_count(g: TannerGraph, members) -> int:
+    """Connected components over ``members`` and the checks they touch."""
+    unvisited = set(members)
+    components = 0
+    while unvisited:
+        components += 1
+        stack = [unvisited.pop()]
+        while stack:
+            for c in g.var_adj[stack.pop()]:
+                for u in g.check_adj[c]:
+                    if u in unvisited:
+                        unvisited.discard(u)
+                        stack.append(u)
+    return components
 
 
 def sweep_peel(g: TannerGraph, erased, order=None) -> set[int]:
@@ -97,7 +115,7 @@ def random_graph(rng: random.Random, max_n: int = 20) -> TannerGraph:
                 for _ in range(m)]
     g = TannerGraph.from_rows(rows, n)
     # Attach isolated variables to some check that does not have them yet.
-    for v in g.zero_degree_variables():
+    for v in [v for v, col in enumerate(g.var_adj) if not col]:
         for c in rng.sample(range(m), m):
             if v not in g.check_adj[c]:
                 g.check_adj[c].append(v)
