@@ -215,8 +215,6 @@ def format_alist(g: TannerGraph) -> str:
 
 def parse_alist(text: str) -> TannerGraph:
     lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
     if len(lines) < 4:
         raise GraphValidationError("alist: fewer than 4 header lines")
 
@@ -232,6 +230,10 @@ def parse_alist(text: str) -> TannerGraph:
     n, m = header
     if n < 1 or m < 1:
         raise GraphValidationError(f"alist: non-positive dimensions n={n} m={m}")
+    # Trailing blank lines past the entry lines are ignored; within them a
+    # blank line is the entry line of a node in a graph with no edges.
+    while len(lines) > 4 + n + m and not lines[-1].strip():
+        lines.pop()
     if len(lines) != 4 + n + m:
         raise GraphValidationError(
             f"alist: expected {4 + n + m} lines for n={n} m={m}, got {len(lines)}")

@@ -5,6 +5,16 @@ evolves as x -> p * lam(1 - rho(1 - x)).  The threshold p* is the
 supremum of channel erasure probabilities for which the iteration from
 x = 1 converges to zero; floor(p* * n) estimates the best guaranteed
 burst length reachable by column permutation alone.
+
+p* is computed without iterating.  The iteration from x = 1 converges to
+zero exactly when p * lam(1 - rho(1 - x)) < x on all of (0, 1], so p* is
+the infimum over x in (0, 1] of h(x) = x / lam(1 - rho(1 - x))
+(Richardson and Urbanke, *Modern Coding Theory*, 2008, ch. 3).  `threshold` evaluates h on GRID_POINTS evenly
+spaced points of [1/GRID_POINTS, 1], refines the best grid cell by
+golden-section search, and takes the smaller of that minimum and the
+stability bound 1 / (lam_2 rho'(1)), which is the limit of h as x -> 0.
+The search stops at x = 1/GRID_POINTS because 1 - rho(1 - x) loses its
+digits to cancellation as x -> 0; the closed-form bound covers that end.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ from typing import Mapping
 from .tanner import DegreeDistribution
 
 DEFAULT_TOL = 1e-9
-MAX_ITERATIONS = 10_000
-CONVERGENCE_FLOOR = 1e-12
+GRID_POINTS = 1024
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _fractions_to_pairs(fracs: Mapping[int, Fraction]) -> tuple[tuple[int, float], ...]:
@@ -83,34 +93,51 @@ def de_step(dist: EdgeDistribution, p: float, x: float) -> float:
     return p * dist.lam_at(1.0 - dist.rho_at(1.0 - x))
 
 
-def _converges(dist: EdgeDistribution, p: float) -> bool:
-    x = 1.0
-    for _ in range(MAX_ITERATIONS):
-        nxt = de_step(dist, p, x)
-        if nxt < CONVERGENCE_FLOOR:
-            return True
-        if nxt >= x:  # stalled at a nonzero fixed point
-            return False
-        x = nxt
-    return False
+def _fixed_point_ratio(dist: EdgeDistribution, x: float) -> float:
+    """h(x) = x / lam(1 - rho(1 - x)): the erasure probability at which x is
+    a fixed point of density evolution, +inf where lam(...) vanishes."""
+    y = dist.lam_at(1.0 - dist.rho_at(1.0 - x))
+    return x / y if y > 0.0 else math.inf
+
+
+def _stability_bound(dist: EdgeDistribution) -> float:
+    """1 / (lam_2 rho'(1)), the limit of h at x -> 0; +inf when lam_2 = 0."""
+    slope = (math.fsum(frac for deg, frac in dist.lam if deg == 2)
+             * math.fsum(frac * (deg - 1) for deg, frac in dist.rho))
+    return 1.0 / slope if slope > 0.0 else math.inf
 
 
 def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
-    """Threshold p* by bisection on convergence of the iterates from x = 1."""
+    """Threshold p* = min(inf of h on [1/GRID_POINTS, 1], stability bound),
+    capped at 1; ``tol`` is the width to which the minimizing x is
+    bracketed."""
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
     if any(deg == 1 for deg, _ in dist.lam):
         raise ValueError(
             "degree-1 variable nodes make density evolution non-convergent "
             "for every p > 0; remove them before computing a threshold")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _converges(dist, mid):
-            lo = mid
+    grid = [_fixed_point_ratio(dist, k / GRID_POINTS)
+            for k in range(1, GRID_POINTS + 1)]
+    k = grid.index(min(grid)) + 1
+    # Golden-section search on the grid cells either side of the best point,
+    # for as many steps as narrow the bracket below tol.  Counting the steps
+    # rather than testing the width ends the search when tol is below the
+    # spacing of floats near x, where the bracket stops shrinking.
+    lo, hi = max(k - 1, 1) / GRID_POINTS, min(k + 1, GRID_POINTS) / GRID_POINTS
+    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    ha, hb = _fixed_point_ratio(dist, a), _fixed_point_ratio(dist, b)
+    steps = max(0, math.ceil(math.log(tol / (hi - lo)) / math.log(_INV_PHI)))
+    for _ in range(steps):
+        if ha <= hb:
+            hi, b, hb = b, a, ha
+            a = hi - _INV_PHI * (hi - lo)
+            ha = _fixed_point_ratio(dist, a)
         else:
-            hi = mid
-    return lo
+            lo, a, ha = a, b, hb
+            b = lo + _INV_PHI * (hi - lo)
+            hb = _fixed_point_ratio(dist, b)
+    return min(grid[k - 1], ha, hb, _stability_bound(dist), 1.0)
 
 
 def lmax_target(dist: EdgeDistribution, n: int, tol: float = DEFAULT_TOL) -> int:

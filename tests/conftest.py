@@ -7,7 +7,13 @@ kernels: the work-queue `PeelingDecoder` and the bit-parallel window
 kernel behind `scan_length`.  `brute_four_cycle_pairs` compares every
 pair of checks and referees the generator's incremental 4-cycle tracker.
 `component_count` counts the connected pieces of a stopping set's
-induced subgraph by a plain graph walk.
+induced subgraph by a plain graph walk.  `bisection_threshold` is the
+capped density-evolution bisection that `threshold` used before it took
+p* from the fixed-point characterization: it bisects on p and iterates
+`de_step` from x = 1 at most BISECTION_MAX_ITERATIONS times per probe.
+A probe that converges is below p*, so the result is a lower bound; the
+cap biases it low where convergence is slow, worst at the stability
+bound of ensembles with degree-2 variables.
 """
 
 from __future__ import annotations
@@ -17,7 +23,10 @@ import random
 
 import pytest
 
-from burstldpc import TannerGraph
+from burstldpc import EdgeDistribution, TannerGraph, de_step
+
+BISECTION_MAX_ITERATIONS = 10_000
+BISECTION_CONVERGENCE_FLOOR = 1e-12
 
 
 def brute_is_stopping_set(g: TannerGraph, members) -> bool:
@@ -91,6 +100,30 @@ def brute_four_cycle_pairs(rows) -> list[tuple[int, int, list[int]]]:
             if len(shared) >= 2:
                 out.append((c1, c2, sorted(shared)))
     return out
+
+
+def _converges(dist: EdgeDistribution, p: float) -> bool:
+    x = 1.0
+    for _ in range(BISECTION_MAX_ITERATIONS):
+        nxt = de_step(dist, p, x)
+        if nxt < BISECTION_CONVERGENCE_FLOOR:
+            return True
+        if nxt >= x:  # stalled at a nonzero fixed point
+            return False
+        x = nxt
+    return False
+
+
+def bisection_threshold(dist: EdgeDistribution, tol: float = 1e-9) -> float:
+    """Threshold p* by bisection on convergence of the iterates from x = 1."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _converges(dist, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def random_graph(rng: random.Random, max_n: int = 20) -> TannerGraph:

@@ -133,9 +133,13 @@ def test_stopsets_runs_without_numpy():
 def test_threshold_regular(capsys):
     code, out, _ = run(capsys, "threshold", "--regular", "3", "6", "--n", "2640")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("p* 0.42943")
-    assert lines[1] == "lmax_target 1133"
+    assert out.splitlines() == ["p* 0.4294398144", "lmax_target 1133"]
+
+
+def test_threshold_check_degree_one(capsys):
+    code, out, _ = run(capsys, "threshold", "--regular", "3", "1", "--n", "100")
+    assert code == 0
+    assert out.splitlines() == ["p* 1", "lmax_target 100"]
 
 
 def test_threshold_from_alist(tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstldpc import (DegreeDistribution, EdgeDistribution, GraphValidationError,
                        Permutation, TannerGraph, format_alist, format_permutation,
@@ -149,6 +151,29 @@ def test_alist_roundtrip_random(rng):
     for _ in range(20):
         g = random_graph(rng)
         assert parse_alist(format_alist(g)) == g
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs up to n = 60 with any rows, so zero-degree columns, empty
+    rows and the graph with no edges all occur."""
+    n = draw(st.integers(1, 60))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=8),
+                         min_size=1, max_size=30))
+    return TannerGraph.from_rows([sorted(row) for row in rows], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_graphs())
+def test_alist_roundtrip_property(g):
+    assert parse_alist(format_alist(g)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(images=st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
+def test_permutation_roundtrip_property(images):
+    p = Permutation(tuple(images))
+    assert parse_permutation(format_permutation(p)) == p
 
 
 def test_alist_zero_padding_ignored():

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstldpc import (EdgeDistribution, GenSpec, de_step, gen_regular,
                        lmax_target, threshold)
+from conftest import bisection_threshold
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +54,9 @@ def test_iterates_from_one_non_increasing(reg36):
 
 
 def test_threshold_regular_3_6(reg36):
-    p = threshold(reg36)
-    assert p == pytest.approx(0.4294398, abs=1e-5)
+    # Published value 0.42943981441949...; the capped bisection gave
+    # 0.4294397207.
+    assert threshold(reg36) == pytest.approx(0.4294398144, abs=1e-9)
     assert lmax_target(reg36, 2640) == 1133
 
 
@@ -63,10 +67,25 @@ def test_threshold_regular_4_32():
 
 def test_threshold_cycle_code():
     # Degree-2 variables, degree-3 checks: x -> p(2x - x^2), critical
-    # slope 2p, so the threshold sits at 1/2 (the finite iteration cap
-    # bites a hair below it).
+    # slope 2p, so the threshold sits at 1/2.
     dist = EdgeDistribution.from_regular(2, 3)
-    assert threshold(dist) == pytest.approx(0.5, abs=2e-3)
+    assert threshold(dist) == 0.5
+
+
+def test_threshold_degree2_is_stability_bound():
+    # For (2, dc), h(x) = x / (1 - (1 - x)^(dc-1)) >= 1/(dc-1), with
+    # equality only as x -> 0: p* is the stability bound 1/(lam_2 rho'(1)).
+    for dc in range(3, 9):
+        assert threshold(EdgeDistribution.from_regular(2, dc)) == 1 / (dc - 1)
+    assert lmax_target(EdgeDistribution.from_regular(2, 5), 2640) == 660
+
+
+def test_threshold_check_degree_one():
+    # Every check of degree 1 pins its variable: no erasure survives.
+    dist = EdgeDistribution.from_regular(3, 1)
+    assert threshold(dist) == 1.0
+    for n in (1, 100, 2640):
+        assert lmax_target(dist, n) == n
 
 
 def test_threshold_geira_profile():
@@ -93,6 +112,12 @@ def test_threshold_tolerance_scaling(reg36):
     for bad in (0.0, -1e-4, math.nan, 1.0, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             threshold(reg36, bad)
+
+
+def test_threshold_tolerance_below_float_spacing(reg36):
+    # No bracket narrows below the float spacing near x; the search still
+    # ends, at the same p*.
+    assert threshold(reg36, 1e-20) == pytest.approx(threshold(reg36), abs=1e-12)
 
 
 def test_threshold_deterministic(reg36):
@@ -125,3 +150,38 @@ def test_edge_fractions_exact():
     assert dist.lam == ((2, 0.5), (3, 0.5))
     assert dist.rho == ((4, 1.0),)
     assert math.isclose(dist.lam_at(1.0), 1.0)
+
+
+# Fixed-point test grid: fine near 0, where the stability bound binds, and
+# spaced 1/4096 across (0, 1].
+_X_GRID = sorted({1e-6 * 10 ** (k / 8) for k in range(25)}
+                 | {k / 4096 for k in range(1, 4097)})
+
+
+def _edge_side(degrees):
+    return st.dictionaries(st.sampled_from(degrees), st.integers(1, 20),
+                           min_size=1, max_size=3)
+
+
+def _fractions(weights):
+    total = sum(weights.values())
+    return tuple(sorted((deg, w / total) for deg, w in weights.items()))
+
+
+@settings(max_examples=15, deadline=None)
+@given(lam=_edge_side(range(2, 9)), rho=_edge_side(range(2, 13)))
+def test_threshold_against_bisection_and_fixed_points(lam, rho):
+    dist = EdgeDistribution(_fractions(lam), _fractions(rho))
+    p_star = threshold(dist)
+    lower = bisection_threshold(dist)
+    assert lower <= p_star + 1e-12
+    if 2 not in lam:
+        assert p_star - lower <= 1e-6
+    # Just below p* density evolution falls everywhere on (0, 1]; just
+    # above it, when that is still a probability, some x is a fixed point
+    # or rises.
+    below = p_star * (1 - 1e-4)
+    assert all(de_step(dist, below, x) < x for x in _X_GRID)
+    above = p_star * (1 + 1e-4)
+    if above <= 1.0:
+        assert any(de_step(dist, above, x) >= x for x in _X_GRID)
