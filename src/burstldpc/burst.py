@@ -52,7 +52,6 @@ class BurstScanResult:
     uncorrectable_starts: tuple[int, ...]
     residuals: tuple[frozenset[int], ...]
     decode_calls: int
-    complete: bool
 
     @property
     def n_b(self) -> int:
@@ -76,7 +75,7 @@ def scan_length(g: TannerGraph, length: int, *, early_exit: bool = False,
         erased = _peel_windows(g, length, 0, total)
         starts = _bits(_union(erased))
         residuals = _residuals(erased, length, 0, starts) if collect_residuals else ()
-        return BurstScanResult(length, starts, residuals, total, True)
+        return BurstScanResult(length, starts, residuals, total)
 
     lo, width = 0, _FIRST_BLOCK
     while lo < total:
@@ -87,9 +86,9 @@ def scan_length(g: TannerGraph, length: int, *, early_exit: bool = False,
             j = lo + (failed & -failed).bit_length() - 1
             residuals = (_residuals(erased, length, lo, (j,))
                          if collect_residuals else ())
-            return BurstScanResult(length, (j,), residuals, j + 1, j == total - 1)
+            return BurstScanResult(length, (j,), residuals, j + 1)
         lo, width = hi, 2 * width
-    return BurstScanResult(length, (), (), total, True)
+    return BurstScanResult(length, (), (), total)
 
 
 def _peel_windows(g: TannerGraph, length: int, lo: int, hi: int) -> list[int]:

@@ -5,9 +5,10 @@ this repeats until no such check remains.  On failure the surviving
 erased set is exactly the union of all stopping sets contained in the
 input pattern.  Only erasure support is tracked, never bit values.
 
-The decoder keeps per-check erased-neighbor counters as reusable scratch
-and resets them through dirty lists, so each call costs O(edges incident
-to the pattern) rather than O(n).  One instance is single-threaded.
+All decode state lives in the call: the erased set, an erased-neighbor
+count for each check the pattern touches, and one work list of checks
+whose count has reached 1.  Each call costs O(edges incident to the
+pattern) rather than O(n).
 
 It serves the pivot oracles, which peel one arbitrary pattern at a time.
 Burst windows go through `burst.scan_length` instead, which peels every
@@ -31,18 +32,16 @@ class DecodeOutcome:
 
 
 class PeelingDecoder:
-    """Work-queue peeling decoder over one graph, with reusable scratch state.
+    """Work-list peeling decoder over one graph.
 
     ``calls`` counts decode invocations monotonically.
     """
 
-    __slots__ = ("graph", "calls", "_erased", "_count")
+    __slots__ = ("graph", "calls")
 
     def __init__(self, graph: TannerGraph) -> None:
         self.graph = graph
         self.calls = 0
-        self._erased = bytearray(graph.n)
-        self._count = [0] * graph.m
 
     def peel(self, pattern: Iterable[int]) -> DecodeOutcome:
         """Decode an arbitrary erasure pattern (duplicates collapse)."""
@@ -53,44 +52,25 @@ class PeelingDecoder:
                 raise ValueError(f"erased index {v} out of range (n={n})")
         var_adj = self.graph.var_adj
         check_adj = self.graph.check_adj
-        count = self._count
-        is_erased = self._erased
         self.calls += 1
 
-        touched: list[int] = []
+        count: dict[int, int] = {}
         for v in erased:
-            is_erased[v] = 1
             for c in var_adj[v]:
-                count[c] += 1
-                touched.append(c)
-        # A check with final count 1 was touched exactly once, so the
-        # initial frontier contains no duplicates.
-        frontier = [c for c in touched if count[c] == 1]
-
-        remaining = len(erased)
-        while frontier and remaining:
-            next_frontier: list[int] = []
-            for c in frontier:
-                if count[c] != 1:
-                    continue
-                v = -1
-                for u in check_adj[c]:
-                    if is_erased[u]:
-                        v = u
-                        break
-                is_erased[v] = 0
-                remaining -= 1
-                for c2 in var_adj[v]:
-                    count[c2] -= 1
-                    if count[c2] == 1:
-                        next_frontier.append(c2)
-            frontier = next_frontier
-
-        residual = (frozenset(v for v in erased if is_erased[v]) if remaining
-                    else frozenset())
-        # Reset scratch through the dirty lists only.
-        for v in erased:
-            is_erased[v] = 0
-        for c in touched:
-            count[c] = 0
-        return DecodeOutcome(remaining == 0, residual)
+                count[c] = count.get(c, 0) + 1
+        # Counts only fall, so a check reaches 1 and joins the work list at
+        # most once; by the time it is popped its count may have reached 0.
+        work = [c for c, k in count.items() if k == 1]
+        while work:
+            c = work.pop()
+            if count[c] != 1:
+                continue
+            for v in check_adj[c]:
+                if v in erased:
+                    break
+            erased.remove(v)
+            for c2 in var_adj[v]:
+                count[c2] -= 1
+                if count[c2] == 1:
+                    work.append(c2)
+        return DecodeOutcome(not erased, frozenset(erased))

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .burst import _bits
 from .peeling import PeelingDecoder
 from .tanner import TannerGraph
 
@@ -137,21 +138,10 @@ def _stopping_masks(g: TannerGraph, max_n: int) -> Iterator[int]:
                 stack.append((v - 1, mask))
 
 
-def _mask_to_members(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 def enumerate_stopping_sets(g: TannerGraph,
                             max_n: int = ENUMERATION_LIMIT) -> list[StoppingSet]:
     """All nonempty stopping sets, in ascending bitmask order (small n)."""
-    return [StoppingSet(_mask_to_members(mask)) for mask in _stopping_masks(g, max_n)]
+    return [StoppingSet(_bits(mask)) for mask in _stopping_masks(g, max_n)]
 
 
 def min_stopping_set_span(g: TannerGraph,

@@ -9,12 +9,13 @@ burst length reachable by column permutation alone.
 p* is computed without iterating.  The iteration from x = 1 converges to
 zero exactly when p * lam(1 - rho(1 - x)) < x on all of (0, 1], so p* is
 the infimum over x in (0, 1] of h(x) = x / lam(1 - rho(1 - x))
-(Richardson and Urbanke, *Modern Coding Theory*, 2008, ch. 3).  `threshold` evaluates h on GRID_POINTS evenly
-spaced points of [1/GRID_POINTS, 1], refines the best grid cell by
-golden-section search, and takes the smaller of that minimum and the
-stability bound 1 / (lam_2 rho'(1)), which is the limit of h as x -> 0.
-The search stops at x = 1/GRID_POINTS because 1 - rho(1 - x) loses its
-digits to cancellation as x -> 0; the closed-form bound covers that end.
+(Richardson and Urbanke, *Modern Coding Theory*, 2008, ch. 3).  With
+y = 1 - x, 1 - rho(1 - x) = x * r, where r = sum of rho_d (1 + y + ...
++ y^(d-2)); so h = 1 / sum of lam_d x^(d-2) r^(d-1), which has no
+cancellation anywhere on [0, 1] and at x = 0 is the stability bound
+1 / (lam_2 rho'(1)).  `threshold` evaluates h on GRID_POINTS + 1 evenly
+spaced points of [0, 1] and refines the best grid cell by golden-section
+search.
 """
 
 from __future__ import annotations
@@ -95,22 +96,24 @@ def de_step(dist: EdgeDistribution, p: float, x: float) -> float:
 
 def _fixed_point_ratio(dist: EdgeDistribution, x: float) -> float:
     """h(x) = x / lam(1 - rho(1 - x)): the erasure probability at which x is
-    a fixed point of density evolution, +inf where lam(...) vanishes."""
-    y = dist.lam_at(1.0 - dist.rho_at(1.0 - x))
-    return x / y if y > 0.0 else math.inf
+    a fixed point of density evolution, +inf where lam(...) vanishes.
 
-
-def _stability_bound(dist: EdgeDistribution) -> float:
-    """1 / (lam_2 rho'(1)), the limit of h at x -> 0; +inf when lam_2 = 0."""
-    slope = (math.fsum(frac for deg, frac in dist.lam if deg == 2)
-             * math.fsum(frac * (deg - 1) for deg, frac in dist.rho))
-    return 1.0 / slope if slope > 0.0 else math.inf
+    Evaluated as 1 / sum of lam_d x^(d-2) r^(d-1) with 1 - rho(1 - x) = x * r,
+    so it holds its digits as x -> 0 and equals 1 / (lam_2 rho'(1)) at 0."""
+    y = 1.0 - x
+    r = 0.0
+    for deg, frac in dist.rho:
+        s = 0.0  # 1 + y + ... + y^(deg-2), by Horner's rule
+        for _ in range(deg - 1):
+            s = 1.0 + y * s
+        r += frac * s
+    denom = sum(frac * x ** (deg - 2) * r ** (deg - 1) for deg, frac in dist.lam)
+    return 1.0 / denom if denom > 0.0 else math.inf
 
 
 def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
-    """Threshold p* = min(inf of h on [1/GRID_POINTS, 1], stability bound),
-    capped at 1; ``tol`` is the width to which the minimizing x is
-    bracketed."""
+    """Threshold p* = inf of h on [0, 1], capped at 1; ``tol`` is the width
+    to which the minimizing x is bracketed."""
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
     if any(deg == 1 for deg, _ in dist.lam):
@@ -118,13 +121,13 @@ def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
             "degree-1 variable nodes make density evolution non-convergent "
             "for every p > 0; remove them before computing a threshold")
     grid = [_fixed_point_ratio(dist, k / GRID_POINTS)
-            for k in range(1, GRID_POINTS + 1)]
-    k = grid.index(min(grid)) + 1
+            for k in range(GRID_POINTS + 1)]
+    k = grid.index(min(grid))
     # Golden-section search on the grid cells either side of the best point,
     # for as many steps as narrow the bracket below tol.  Counting the steps
     # rather than testing the width ends the search when tol is below the
     # spacing of floats near x, where the bracket stops shrinking.
-    lo, hi = max(k - 1, 1) / GRID_POINTS, min(k + 1, GRID_POINTS) / GRID_POINTS
+    lo, hi = max(k - 1, 0) / GRID_POINTS, min(k + 1, GRID_POINTS) / GRID_POINTS
     a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     ha, hb = _fixed_point_ratio(dist, a), _fixed_point_ratio(dist, b)
     steps = max(0, math.ceil(math.log(tol / (hi - lo)) / math.log(_INV_PHI)))
@@ -137,7 +140,7 @@ def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
             lo, a, ha = a, b, hb
             b = lo + _INV_PHI * (hi - lo)
             hb = _fixed_point_ratio(dist, b)
-    return min(grid[k - 1], ha, hb, _stability_bound(dist), 1.0)
+    return min(grid[k], ha, hb, 1.0)
 
 
 def lmax_target(dist: EdgeDistribution, n: int, tol: float = DEFAULT_TOL) -> int:

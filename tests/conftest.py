@@ -3,17 +3,19 @@
 The oracles here deliberately avoid the library's decoding and
 enumeration paths: stopping sets come from itertools subset scans, and
 `sweep_peel` is a naive full-sweep decoder that referees both peeling
-kernels: the work-queue `PeelingDecoder` and the bit-parallel window
-kernel behind `scan_length`.  `brute_four_cycle_pairs` compares every
-pair of checks and referees the generator's incremental 4-cycle tracker.
-`component_count` counts the connected pieces of a stopping set's
-induced subgraph by a plain graph walk.  `bisection_threshold` is the
-capped density-evolution bisection that `threshold` used before it took
-p* from the fixed-point characterization: it bisects on p and iterates
-`de_step` from x = 1 at most BISECTION_MAX_ITERATIONS times per probe.
-A probe that converges is below p*, so the result is a lower bound; the
-cap biases it low where convergence is slow, worst at the stability
-bound of ensembles with degree-2 variables.
+kernels: the work-list `PeelingDecoder` and the bit-parallel window
+kernel behind `scan_length`.  `graphs` and `patterns` are `hypothesis`
+strategies for graphs up to n = 60 and erasure patterns on them.
+`brute_four_cycle_pairs` compares every pair of checks and referees the
+generator's incremental 4-cycle tracker.  `component_count` counts the
+connected pieces of a stopping set's induced subgraph by a plain graph
+walk.  `bisection_threshold` is the capped density-evolution bisection
+that `threshold` used before it took p* from the fixed-point
+characterization: it bisects on p and iterates `de_step` from x = 1 at
+most BISECTION_MAX_ITERATIONS times per probe.  A probe that converges
+is below p*, so the result is a lower bound; the cap biases it low where
+convergence is slow, worst at the stability bound of ensembles with
+degree-2 variables.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from burstldpc import EdgeDistribution, TannerGraph, de_step
 
@@ -156,6 +159,22 @@ def random_graph(rng: random.Random, max_n: int = 20) -> TannerGraph:
                 g.var_adj[v].append(c)
                 break
     return g
+
+
+@st.composite
+def graphs(draw):
+    """Graphs up to n = 60 with any rows, so zero-degree columns, empty
+    rows and the graph with no edges all occur."""
+    n = draw(st.integers(1, 60))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=8),
+                         min_size=1, max_size=30))
+    return TannerGraph.from_rows([sorted(row) for row in rows], n)
+
+
+def patterns(n: int):
+    """Erasure patterns on n variables, of any density."""
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: frozenset(v for v, erased in enumerate(bits) if erased))
 
 
 @pytest.fixture

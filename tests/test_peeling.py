@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burstldpc import Burst, PeelingDecoder, Permutation, TannerGraph, fixtures
-from conftest import brute_stopping_sets, random_graph, sweep_peel
+from burstldpc import (Burst, DecodeOutcome, PeelingDecoder, Permutation, TannerGraph,
+                       fixtures)
+from conftest import brute_stopping_sets, graphs, patterns, random_graph, sweep_peel
 
 
 @pytest.fixture
@@ -161,3 +164,24 @@ def test_decode_call_counter_is_monotone():
         dec.peel({0})
         counts.append(dec.calls)
     assert counts == [1, 2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_peel_matches_sweep_decoder_property(data):
+    g = data.draw(graphs())
+    pattern = data.draw(patterns(g.n))
+    out = PeelingDecoder(g).peel(pattern)
+    assert out.residual == sweep_peel(g, pattern)
+    assert out.success == (not out.residual)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_relabeling_commutes_with_peel_property(data):
+    g = data.draw(graphs())
+    p = Permutation(tuple(data.draw(st.permutations(range(g.n)))))
+    pattern = data.draw(patterns(g.n))
+    out_g = PeelingDecoder(g).peel(pattern)
+    out_h = PeelingDecoder(g.apply_permutation(p)).peel(map(p, pattern))
+    assert out_h == DecodeOutcome(out_g.success, frozenset(map(p, out_g.residual)))

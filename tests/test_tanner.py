@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from burstldpc import (DegreeDistribution, EdgeDistribution, GraphValidationError,
                        Permutation, TannerGraph, format_alist, format_permutation,
                        parse_alist, parse_permutation)
-from conftest import random_graph
+from conftest import graphs, random_graph
 
 
 def test_build_cycle3():
@@ -153,18 +153,8 @@ def test_alist_roundtrip_random(rng):
         assert parse_alist(format_alist(g)) == g
 
 
-@st.composite
-def _graphs(draw):
-    """Graphs up to n = 60 with any rows, so zero-degree columns, empty
-    rows and the graph with no edges all occur."""
-    n = draw(st.integers(1, 60))
-    rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=8),
-                         min_size=1, max_size=30))
-    return TannerGraph.from_rows([sorted(row) for row in rows], n)
-
-
 @settings(max_examples=60, deadline=None)
-@given(g=_graphs())
+@given(g=graphs())
 def test_alist_roundtrip_property(g):
     assert parse_alist(format_alist(g)) == g
 

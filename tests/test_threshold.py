@@ -80,6 +80,14 @@ def test_threshold_degree2_is_stability_bound():
     assert lmax_target(EdgeDistribution.from_regular(2, 5), 2640) == 660
 
 
+def test_threshold_regular_2_2_is_one():
+    # h(x) = x / (1 - (1 - x)) is 1 everywhere; written as x / x it rounds
+    # below 1 at some x and floor(p* n) lost one position.
+    dist = EdgeDistribution.from_regular(2, 2)
+    assert threshold(dist) == 1.0
+    assert lmax_target(dist, 2640) == 2640
+
+
 def test_threshold_check_degree_one():
     # Every check of degree 1 pins its variable: no erasure survives.
     dist = EdgeDistribution.from_regular(3, 1)
