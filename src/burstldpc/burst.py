@@ -169,19 +169,17 @@ def compute_lmax(g: TannerGraph) -> int:
     """Largest L for which every window of length L peels, at every start.
 
     All-positions resolvability is monotone non-increasing in L (peeling
-    a subset of a decodable pattern succeeds), so a binary search over L
-    is valid; probes may exit early, and the boundary is confirmed with
-    full scans.  Returns n when even full erasure decodes.
+    a subset of a decodable pattern succeeds), so one binary search over
+    0 .. n+1 finds it, with length 0 vacuously resolvable and n+1
+    vacuously failing; probes may exit early.  Full scans confirm the
+    boundary: length L_max when it is positive, L_max + 1 when it is
+    below n.
     """
     def resolvable(length: int) -> bool:
         return scan_length(g, length, early_exit=True,
                            collect_residuals=False).n_b == 0
 
-    if resolvable(g.n):
-        if scan_length(g, g.n, collect_residuals=False).n_b:
-            raise InternalInvariantError("full-erasure probe and scan disagree")
-        return g.n
-    lo, hi = 0, g.n  # resolvable at lo (vacuous for 0), failing at hi
+    lo, hi = 0, g.n + 1  # resolvable at lo, failing at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if resolvable(mid):
@@ -190,7 +188,6 @@ def compute_lmax(g: TannerGraph) -> int:
             hi = mid
     if lo and scan_length(g, lo, collect_residuals=False).n_b:
         raise InternalInvariantError(f"confirming scan failed at length {lo}")
-    if not scan_length(g, lo + 1, collect_residuals=False).n_b:
+    if lo < g.n and not scan_length(g, lo + 1, collect_residuals=False).n_b:
         raise InternalInvariantError(f"confirming scan clean at length {lo + 1}")
     return lo
-

@@ -21,7 +21,7 @@ from .stopset import ENUMERATION_LIMIT, all_pivots_oracle, enumerate_stopping_se
 from .tanner import (GraphValidationError, InternalInvariantError, TannerGraph,
                      format_alist, format_permutation, read_alist, write_alist,
                      write_permutation)
-from .threshold import DEFAULT_TOL, EdgeDistribution, lmax_target, threshold
+from .threshold import EdgeDistribution, lmax_target, threshold
 
 
 def _load_graph(token: str) -> TannerGraph:
@@ -65,7 +65,7 @@ def _cmd_lmax(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    result = scan_length(g, args.length)
+    result = scan_length(g, args.length, collect_residuals=False)
     starts = " ".join(map(str, result.uncorrectable_starts))
     _emit(f"L,N_B,starts\n{result.length},{result.n_b},{starts}\n", args.out)
     print(f"length {result.length}: {result.n_b} uncorrectable of "
@@ -120,10 +120,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     else:
         raise GraphValidationError(
             "need an alist input, --regular DV DC, or --var-mult/--check-mult")
-    p_star = threshold(dist, args.tol)
+    p_star = threshold(dist)
     lines = [f"p* {p_star:.10g}"]
     if n is not None:
-        lines.append(f"lmax_target {lmax_target(dist, n, args.tol)}")
+        lines.append(f"lmax_target {lmax_target(dist, n)}")
     _emit("\n".join(lines) + "\n", args.out)
     print(f"threshold {p_star:.6f}" +
           (f", floor(p* x {n}) = {lines[1].split()[1]}" if n is not None else ""),
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var-mult", help="variable multiplicities DEG:COUNT,DEG:COUNT,...")
     p.add_argument("--check-mult", help="check multiplicities DEG:COUNT,...")
     p.add_argument("--n", type=int)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_threshold)
 

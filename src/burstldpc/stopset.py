@@ -2,10 +2,13 @@
 
 A stopping set is a variable-node set whose every adjacent check touches
 it at least twice; peeling stalls exactly on such sets.  A pivot is a
-member whose known value lets peeling recover the whole set.  Pivots of
-a stopping set, when they exist, always come in pairs or more, and any
+member whose known value lets peeling recover the whole set.  Any
 pivot's partners across induced-degree-2 checks are pivots themselves;
-that closure is what `pivot_search` walks.
+that closure is what `pivot_search` walks.  A stopping set of two or
+more members has no pivots or at least two: peeling it without a pivot
+v starts at a check holding exactly v and one other member u, and u is
+then a pivot too.  A single pivot occurs only for a singleton set {v},
+which is a stopping set exactly when v has no checks.
 
 Stopping sets are enumerated by a backtracking search over variable
 bitmasks: variables are decided from the highest index down, each
@@ -79,12 +82,10 @@ class PivotSet:
 class InducedSubgraph:
     """Stopping-set members, their checks, and per-check induced degree."""
 
-    __slots__ = ("variables", "check_members", "var_checks")
+    __slots__ = ("check_members", "var_checks")
 
-    def __init__(self, variables: frozenset[int],
-                 check_members: dict[int, tuple[int, ...]],
+    def __init__(self, check_members: dict[int, tuple[int, ...]],
                  var_checks: dict[int, tuple[int, ...]]) -> None:
-        self.variables = variables
         self.check_members = check_members
         self.var_checks = var_checks
 
@@ -163,13 +164,13 @@ def induced_subgraph(g: TannerGraph, members: Iterable[int]) -> InducedSubgraph:
             raise ValueError(
                 f"not a stopping set: check {c} touches it only once")
     return InducedSubgraph(
-        s,
         {c: tuple(mem) for c, mem in check_members.items()},
         {v: tuple(g.var_adj[v]) for v in s})
 
 
 def all_pivots_oracle(g: TannerGraph, s: StoppingSet | Iterable[int]) -> PivotSet:
-    """Exact pivot set by trying every member; size is never exactly 1."""
+    """Exact pivot set by trying every member.  It has exactly one member
+    only for a singleton set, a variable with no checks."""
     members = _validate_members(g, s)
     decoder = PeelingDecoder(g)
     return PivotSet(frozenset(

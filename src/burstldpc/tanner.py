@@ -74,18 +74,6 @@ class DegreeDistribution:
     def from_counts(cls, variable: dict[int, int], check: dict[int, int]) -> "DegreeDistribution":
         return cls(tuple(sorted(variable.items())), tuple(sorted(check.items())))
 
-    @property
-    def n(self) -> int:
-        return sum(count for _, count in self.variable)
-
-    @property
-    def m(self) -> int:
-        return sum(count for _, count in self.check)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(deg * count for deg, count in self.variable)
-
 
 class TannerGraph:
     """Bipartite graph of ``n`` variable (column) and ``m`` check (row) nodes."""

@@ -15,7 +15,8 @@ y = 1 - x, 1 - rho(1 - x) = x * r, where r = sum of rho_d (1 + y + ...
 cancellation anywhere on [0, 1] and at x = 0 is the stability bound
 1 / (lam_2 rho'(1)).  `threshold` evaluates h on GRID_POINTS + 1 evenly
 spaced points of [0, 1] and refines the best grid cell by golden-section
-search.
+search until the minimizing x is bracketed to within 1e-9.  That width is
+fixed: any narrower one prints the same ten digits of p*.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Mapping
 
 from .tanner import DegreeDistribution
 
-DEFAULT_TOL = 1e-9
 GRID_POINTS = 1024
+_BRACKET = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -111,11 +112,8 @@ def _fixed_point_ratio(dist: EdgeDistribution, x: float) -> float:
     return 1.0 / denom if denom > 0.0 else math.inf
 
 
-def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
-    """Threshold p* = inf of h on [0, 1], capped at 1; ``tol`` is the width
-    to which the minimizing x is bracketed."""
-    if not 0 < tol < 1:
-        raise ValueError(f"tolerance must be in (0, 1), got {tol}")
+def threshold(dist: EdgeDistribution) -> float:
+    """Threshold p* = inf of h on [0, 1], capped at 1."""
     if any(deg == 1 for deg, _ in dist.lam):
         raise ValueError(
             "degree-1 variable nodes make density evolution non-convergent "
@@ -124,13 +122,11 @@ def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
             for k in range(GRID_POINTS + 1)]
     k = grid.index(min(grid))
     # Golden-section search on the grid cells either side of the best point,
-    # for as many steps as narrow the bracket below tol.  Counting the steps
-    # rather than testing the width ends the search when tol is below the
-    # spacing of floats near x, where the bracket stops shrinking.
+    # for as many steps as narrow the bracket below _BRACKET.
     lo, hi = max(k - 1, 0) / GRID_POINTS, min(k + 1, GRID_POINTS) / GRID_POINTS
     a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     ha, hb = _fixed_point_ratio(dist, a), _fixed_point_ratio(dist, b)
-    steps = max(0, math.ceil(math.log(tol / (hi - lo)) / math.log(_INV_PHI)))
+    steps = math.ceil(math.log(_BRACKET / (hi - lo)) / math.log(_INV_PHI))
     for _ in range(steps):
         if ha <= hb:
             hi, b, hb = b, a, ha
@@ -143,10 +139,10 @@ def threshold(dist: EdgeDistribution, tol: float = DEFAULT_TOL) -> float:
     return min(grid[k], ha, hb, 1.0)
 
 
-def lmax_target(dist: EdgeDistribution, n: int, tol: float = DEFAULT_TOL) -> int:
+def lmax_target(dist: EdgeDistribution, n: int) -> int:
     """floor(p* * n): the permutation-achievable burst-length estimate."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 0
-    return math.floor(threshold(dist, tol) * n)
+    return math.floor(threshold(dist) * n)

@@ -12,8 +12,8 @@ connected pieces of a stopping set's induced subgraph by a plain graph
 walk.  `bisection_threshold` is the capped density-evolution bisection
 that `threshold` used before it took p* from the fixed-point
 characterization: it bisects on p and iterates `de_step` from x = 1 at
-most BISECTION_MAX_ITERATIONS times per probe.  A probe that converges
-is below p*, so the result is a lower bound; the cap biases it low where
+most ``max_iterations`` times per probe.  A probe that converges is
+below p*, so the result is a lower bound; the cap biases it low where
 convergence is slow, worst at the stability bound of ensembles with
 degree-2 variables.
 """
@@ -105,9 +105,9 @@ def brute_four_cycle_pairs(rows) -> list[tuple[int, int, list[int]]]:
     return out
 
 
-def _converges(dist: EdgeDistribution, p: float) -> bool:
+def _converges(dist: EdgeDistribution, p: float, max_iterations: int) -> bool:
     x = 1.0
-    for _ in range(BISECTION_MAX_ITERATIONS):
+    for _ in range(max_iterations):
         nxt = de_step(dist, p, x)
         if nxt < BISECTION_CONVERGENCE_FLOOR:
             return True
@@ -117,12 +117,13 @@ def _converges(dist: EdgeDistribution, p: float) -> bool:
     return False
 
 
-def bisection_threshold(dist: EdgeDistribution, tol: float = 1e-9) -> float:
+def bisection_threshold(dist: EdgeDistribution, tol: float = 1e-9,
+                        max_iterations: int = BISECTION_MAX_ITERATIONS) -> float:
     """Threshold p* by bisection on convergence of the iterates from x = 1."""
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _converges(dist, mid):
+        if _converges(dist, mid, max_iterations):
             lo = mid
         else:
             hi = mid

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
 from burstldpc import (BurstScanResult, GenSpec, PeelingDecoder, all_pivots_oracle,
                        compute_lmax, fixtures, gen_regular, min_stopping_set_span,
                        scan_length)
-from conftest import brute_lmax, component_count, random_graph, sweep_peel
+from conftest import brute_lmax, component_count, graphs, random_graph, sweep_peel
 
 
 def test_scan_cycle4_full_length():
@@ -100,6 +101,14 @@ def test_compute_lmax_matches_sweep_decoder_bruteforce(rng):
     for _ in range(15):
         g = random_graph(rng, max_n=14)
         assert compute_lmax(g) == brute_lmax(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_compute_lmax_matches_sweep_decoder_property(g):
+    # Most such graphs have L_max = 0 and a few L_max = n, so the search
+    # reaches both of its ends.
+    assert compute_lmax(g) == brute_lmax(g)
 
 
 def test_compute_lmax_equals_min_span_minus_one(rng):

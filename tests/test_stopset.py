@@ -89,7 +89,7 @@ def test_stopping_set_span():
 def test_induced_subgraph_identity_on_cycle():
     g = fixtures()["cycle3"]
     sub = induced_subgraph(g, {0, 1, 2})
-    assert sub.variables == {0, 1, 2}
+    assert set(sub.var_checks) == {0, 1, 2}
     assert set(sub.check_members) == {0, 1, 2}
     assert all(sub.degree(c) == 2 for c in sub.check_members)
 
@@ -121,6 +121,15 @@ def test_chainD_pivots():
     pivots = all_pivots_oracle(g, {0, 1, 2, 3})
     assert pivots.pivots == {0, 1, 2}
     assert pivots.span == 3
+
+
+def test_singleton_stopping_set_has_one_pivot():
+    # Column 2 has no checks, so {2} is a stopping set and 2 is its only
+    # pivot.  Larger stopping sets have no pivots or at least two.
+    g = TannerGraph.from_rows([[0, 1]], 3)
+    sets = enumerate_stopping_sets(g)
+    assert [s.members for s in sets] == [(0, 1), (2,), (0, 1, 2)]
+    assert [all_pivots_oracle(g, s).pivots for s in sets] == [{0, 1}, {2}, set()]
 
 
 def test_disjoint_union_has_no_pivots():

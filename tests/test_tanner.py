@@ -118,7 +118,9 @@ def test_degree_distribution_cycle3():
     g = TannerGraph.from_rows([[0, 1], [1, 2], [2, 0]], 3)
     dd = g.degree_distribution()
     assert dd == DegreeDistribution.from_counts({2: 3}, {2: 3})
-    assert dd.n == 3 and dd.m == 3 and dd.edge_count == 6
+    assert sum(count for _, count in dd.variable) == 3
+    assert sum(count for _, count in dd.check) == 3
+    assert sum(deg * count for deg, count in dd.variable) == 6
 
 
 def test_degree_distribution_permutation_invariant(rng):
