@@ -11,13 +11,14 @@ fixture graphs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
 from .burst import compute_lmax, scan_length
 from .codegen import GenSpec, fixtures, four_cycle_count, gen_regular
 from .pss import PssConfig, pss_optimize
-from .stopset import ENUMERATION_LIMIT, all_pivots_oracle, enumerate_stopping_sets
+from .stopset import ENUMERATION_LIMIT, all_pivots_oracle, iter_stopping_sets
 from .tanner import (GraphValidationError, InternalInvariantError, TannerGraph,
                      format_alist, format_permutation, read_alist, write_alist,
                      write_permutation)
@@ -75,17 +76,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_stopsets(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    sets = enumerate_stopping_sets(g, max_n=args.max_n)
-    lines = ["members\tspan\tpivots\tpivot_span"]
-    for s in sets:
-        pivots = all_pivots_oracle(g, s)
-        lines.append("\t".join((
-            " ".join(map(str, s.members)),
-            str(s.span),
-            " ".join(map(str, sorted(pivots.pivots))),
-            "" if pivots.span is None else str(pivots.span))))
-    _emit("\n".join(lines) + "\n", args.out)
-    print(f"{len(sets)} stopping sets on n={g.n} m={g.m}", file=sys.stderr)
+    sets = iter_stopping_sets(g, max_n=args.max_n)
+    # Rows are written as their sets are found: a graph can have millions.
+    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
+        out.write("members\tspan\tpivots\tpivot_span\n")
+        count = 0
+        for s in sets:
+            pivots = all_pivots_oracle(g, s)
+            out.write("\t".join((
+                " ".join(map(str, s.members)),
+                str(s.span),
+                " ".join(map(str, sorted(pivots.pivots))),
+                "" if pivots.span is None else str(pivots.span))) + "\n")
+            count += 1
+    print(f"{count} stopping sets on n={g.n} m={g.m}", file=sys.stderr)
     return 0
 
 

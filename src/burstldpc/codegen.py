@@ -7,11 +7,11 @@ same way.  Everything is reproducible from the seed.
 
 4-cycle repair reads its conflicts from a tracker of the check pairs
 that share two or more variables.  The tracker is built once through a
-variable -> checks index, and each move re-pairs only the two rows it
-touched instead of comparing all m^2/2 row pairs again.  Its conflict
-list has the order an all-pairs scan gives (ascending check pairs,
-ascending shared variables), so the rng draws, and the codes, depend
-on the seed alone.
+variable -> checks index, each pair from its lower check only, and each
+move re-pairs only the two rows it touched instead of comparing all
+m^2/2 row pairs again.  Its conflict list has the order an all-pairs
+scan gives (ascending check pairs, ascending shared variables), so the
+rng draws, and the codes, depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -80,14 +80,15 @@ def _matched_rows(rng: random.Random, n: int, m: int, dv: int,
 class _ParallelEdges:
     """(check, slot) of every entry whose variable repeats in its row.
 
-    Rescanned on every pass; O(m*dc^2) is cheap next to the matching.
+    Rescanned on every pass; only rows that hold some variable twice are
+    searched entry by entry.
     """
 
     def __init__(self, rows: list[list[int]]) -> None:
         self.rows = rows
 
     def conflicts(self) -> list[tuple[int, int]]:
-        return [(c, i) for c, row in enumerate(self.rows)
+        return [(c, i) for c, row in enumerate(self.rows) if len(set(row)) < len(row)
                 for i, v in enumerate(row) if row.count(v) > 1]
 
     def moved(self, c: int, i: int, c2: int, i2: int) -> None:
@@ -99,21 +100,23 @@ class _FourCycles:
 
     Holds a variable -> checks index and, for each such pair ``(c1, c2)``
     with c1 < c2, its shared variables in ascending order.  Both are
-    built once.  A move between rows c and c2 drops the pairs involving
-    either row and pairs the two rows up again through the index: O(dc*dv)
-    plus one pass over the few pairs still open, where an all-pairs
-    rescan costs O(m^2*dc).  Rows must hold no variable twice.
+    built once, each pair from its lower check only.  A move between rows
+    c and c2 drops the pairs involving either row and pairs the two rows
+    up again through the index, from both ends: O(dc*dv) plus one pass
+    over the few pairs still open, where an all-pairs rescan costs
+    O(m^2*dc).  Rows must hold no variable twice.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], n: int) -> None:
         self.rows = rows
         self.var_checks: list[set[int]] = [set() for _ in range(n)]
-        for c, row in enumerate(rows):
-            for v in row:
-                self.var_checks[v].add(c)
         self.shared: dict[tuple[int, int], list[int]] = {}
-        for c in range(len(rows)):
+        # From the last row up: when row c is paired, the index holds only
+        # the checks above c, so no pair is built twice.
+        for c in range(len(rows) - 1, -1, -1):
             self._pair_up(c)
+            for v in rows[c]:
+                self.var_checks[v].add(c)
 
     def _pair_up(self, c: int) -> None:
         hits: dict[int, list[int]] = {}

@@ -112,11 +112,11 @@ def is_stopping_set(g: TannerGraph, members: Iterable[int]) -> bool:
 
 
 def _stopping_masks(g: TannerGraph, max_n: int) -> Iterator[int]:
-    """Yield the bitmask of every nonempty stopping set, in ascending order.
+    """Every nonempty stopping set's bitmask, in ascending order.
 
+    Refuses ``n > max_n`` when called, before the first mask is asked for.
     ``settled[v]`` holds the checks whose lowest member is ``v``: once
-    ``v`` is decided, all their members are.  An explicit stack, rather
-    than recursion, keeps graphs of any size clear of the recursion limit.
+    ``v`` is decided, all their members are.
     """
     if g.n > max_n:
         raise ValueError(
@@ -126,7 +126,13 @@ def _stopping_masks(g: TannerGraph, max_n: int) -> Iterator[int]:
     for row in g.check_adj:
         if row:
             settled[row[0]].append(sum(1 << v for v in row))
-    stack = [(g.n - 1, 0)]
+    return _backtrack(settled)
+
+
+def _backtrack(settled: list[list[int]]) -> Iterator[int]:
+    # An explicit stack, rather than recursion, keeps graphs of any size
+    # clear of the recursion limit.
+    stack = [(len(settled) - 1, 0)]
     while stack:
         v, chosen = stack.pop()
         if v < 0:
@@ -139,10 +145,17 @@ def _stopping_masks(g: TannerGraph, max_n: int) -> Iterator[int]:
                 stack.append((v - 1, mask))
 
 
+def iter_stopping_sets(g: TannerGraph,
+                       max_n: int = ENUMERATION_LIMIT) -> Iterator[StoppingSet]:
+    """All nonempty stopping sets, in ascending bitmask order, each as it is
+    found; ``n > max_n`` is refused at the call."""
+    return (StoppingSet(_bits(mask)) for mask in _stopping_masks(g, max_n))
+
+
 def enumerate_stopping_sets(g: TannerGraph,
                             max_n: int = ENUMERATION_LIMIT) -> list[StoppingSet]:
     """All nonempty stopping sets, in ascending bitmask order (small n)."""
-    return [StoppingSet(_bits(mask)) for mask in _stopping_masks(g, max_n)]
+    return list(iter_stopping_sets(g, max_n))
 
 
 def min_stopping_set_span(g: TannerGraph,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 
 class GraphValidationError(ValueError):
@@ -91,7 +91,12 @@ class TannerGraph:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], n: int) -> "TannerGraph":
-        """Build and validate a graph from per-check variable-index lists."""
+        """Build and validate a graph from per-check variable-index lists.
+
+        A row is checked whole, by its sorted ends and its distinct count;
+        only a row that fails is walked in its given order, so the error
+        names its first out-of-range or repeated entry.
+        """
         if n < 1:
             raise GraphValidationError(f"need at least one variable node, got n={n}")
         if len(rows) < 1:
@@ -100,18 +105,10 @@ class TannerGraph:
         check_adj: list[list[int]] = []
         var_adj: list[list[int]] = [[] for _ in range(n)]
         for r, row in enumerate(rows):
-            seen: set[int] = set()
-            for v in row:
-                if not 0 <= v < n:
-                    raise GraphValidationError(
-                        f"row {r}: variable index {v} out of range (n={n})",
-                        row=r, column=v)
-                if v in seen:
-                    raise GraphValidationError(
-                        f"row {r}: duplicate edge to variable {v}",
-                        row=r, column=v)
-                seen.add(v)
-            neighbors = sorted(seen)
+            neighbors = sorted(row)
+            if neighbors and (neighbors[0] < 0 or neighbors[-1] >= n
+                              or len(set(neighbors)) < len(neighbors)):
+                _raise_row_error(r, row, n)
             check_adj.append(neighbors)
             for v in neighbors:
                 var_adj[v].append(r)
@@ -179,6 +176,23 @@ class TannerGraph:
         return f"TannerGraph(n={self.n}, m={self.m}, edges={self.edge_count})"
 
 
+def _raise_row_error(r: int, row: Sequence[int], n: int) -> NoReturn:
+    """Raise for the first entry of row r, in row order, that is out of
+    range or repeats an earlier one."""
+    seen: set[int] = set()
+    for v in row:
+        if not 0 <= v < n:
+            raise GraphValidationError(
+                f"row {r}: variable index {v} out of range (n={n})",
+                row=r, column=v)
+        if v in seen:
+            raise GraphValidationError(
+                f"row {r}: duplicate edge to variable {v}",
+                row=r, column=v)
+        seen.add(v)
+    raise InternalInvariantError(f"row {r} failed validation but has no bad entry")
+
+
 # ---------------------------------------------------------------------------
 # alist interchange format (MacKay convention, 1-based, zero-padded entries
 # ignored) and the two-line permutation text format.
@@ -188,31 +202,34 @@ def format_alist(g: TannerGraph) -> str:
     row_deg = g.check_degrees()
     max_col = max(col_deg, default=0)
     max_row = max(row_deg, default=0)
+    # decimal[i] == str(i): entries are written 1-based, 0 pads a short line.
+    decimal = [str(i) for i in range(max(g.n, g.m) + 1)]
     lines = [
         f"{g.n} {g.m}",
         f"{max_col} {max_row}",
-        " ".join(map(str, col_deg)),
-        " ".join(map(str, row_deg)),
+        " ".join([decimal[d] for d in col_deg]),
+        " ".join([decimal[d] for d in row_deg]),
     ]
     for adj, width in ((g.var_adj, max_col), (g.check_adj, max_row)):
         for neighbors in adj:
-            entries = [x + 1 for x in neighbors] + [0] * (width - len(neighbors))
-            lines.append(" ".join(map(str, entries)))
+            entries = [decimal[x + 1] for x in neighbors]
+            entries += ["0"] * (width - len(neighbors))
+            lines.append(" ".join(entries))
     return "\n".join(lines) + "\n"
+
+
+def _ints(lines: list[str], index: int) -> list[int]:
+    try:
+        return [int(tok) for tok in lines[index].split()]
+    except ValueError as exc:
+        raise GraphValidationError(f"alist line {index + 1}: {exc}") from None
 
 
 def parse_alist(text: str) -> TannerGraph:
     lines = text.splitlines()
     if len(lines) < 4:
         raise GraphValidationError("alist: fewer than 4 header lines")
-
-    def ints(index: int) -> list[int]:
-        try:
-            return [int(tok) for tok in lines[index].split()]
-        except ValueError as exc:
-            raise GraphValidationError(f"alist line {index + 1}: {exc}") from None
-
-    header = ints(0)
+    header = _ints(lines, 0)
     if len(header) != 2:
         raise GraphValidationError("alist: first line must be 'n m'")
     n, m = header
@@ -225,40 +242,48 @@ def parse_alist(text: str) -> TannerGraph:
     if len(lines) != 4 + n + m:
         raise GraphValidationError(
             f"alist: expected {4 + n + m} lines for n={n} m={m}, got {len(lines)}")
-    col_deg = ints(2)
-    row_deg = ints(3)
+    col_deg = _ints(lines, 2)
+    row_deg = _ints(lines, 3)
     if len(col_deg) != n:
         raise GraphValidationError("alist: column-degree line has wrong length")
     if len(row_deg) != m:
         raise GraphValidationError("alist: row-degree line has wrong length")
     # Line 2 bounds the entry-line widths: a maximum below the largest
     # listed degree is corrupt, one above it only allows more zero padding.
-    max_deg = ints(1)
+    max_deg = _ints(lines, 1)
     if (len(max_deg) != 2 or max_deg[0] < max(col_deg)
             or max_deg[1] < max(row_deg)):
         raise GraphValidationError(
             f"alist line 2: expected the maximum column and row degrees, at least "
             f"{max(col_deg)} {max(row_deg)}, got {lines[1].strip()!r}")
-    col_lists = []
-    for i in range(n):
-        entries = [x - 1 for x in ints(4 + i) if x != 0]
-        if len(entries) != col_deg[i]:
-            raise GraphValidationError(
-                f"alist: column {i} lists {len(entries)} checks, declared {col_deg[i]}",
-                column=i)
-        col_lists.append(sorted(entries))
-    row_lists = []
-    for i in range(m):
-        entries = [x - 1 for x in ints(4 + n + i) if x != 0]
-        if len(entries) != row_deg[i]:
-            raise GraphValidationError(
-                f"alist: row {i} lists {len(entries)} variables, declared {row_deg[i]}",
-                row=i)
-        row_lists.append(entries)
-    g = TannerGraph.from_rows(row_lists, n)
-    if g.var_adj != col_lists:
+    degrees = col_deg + row_deg
+    try:
+        entries = [[x - 1 for x in map(int, line.split()) if x] for line in lines[4:]]
+    except ValueError:
+        entries = None
+    if entries is None or list(map(len, entries)) != degrees:
+        _raise_entry_error(lines, n, degrees)
+    g = TannerGraph.from_rows(entries[n:], n)
+    if g.var_adj != [sorted(col) for col in entries[:n]]:
         raise GraphValidationError("alist: column lists inconsistent with row lists")
     return g
+
+
+def _raise_entry_error(lines: list[str], n: int, degrees: list[int]) -> NoReturn:
+    """Raise the first error of the entry lines, read one at a time in file
+    order: a token that is not an integer, or a count of nonzero entries
+    other than the declared degree.  A count mismatch on a line thus wins
+    over a bad token on any later line."""
+    for i, degree in enumerate(degrees):
+        count = sum(1 for x in _ints(lines, 4 + i) if x)
+        if count == degree:
+            continue
+        if i < n:
+            raise GraphValidationError(
+                f"alist: column {i} lists {count} checks, declared {degree}", column=i)
+        raise GraphValidationError(
+            f"alist: row {i - n} lists {count} variables, declared {degree}", row=i - n)
+    raise InternalInvariantError("alist: entry lines failed a check but have no error")
 
 
 def read_alist(path: str | Path) -> TannerGraph:

@@ -80,10 +80,19 @@ class EdgeDistribution:
         return cls.from_node_multiplicities(dict(dd.variable), dict(dd.check))
 
     def lam_at(self, x: float) -> float:
-        return sum(frac * x ** (deg - 1) for deg, frac in self.lam)
+        return _polynomial_at(self.lam, x)
 
     def rho_at(self, x: float) -> float:
-        return sum(frac * x ** (deg - 1) for deg, frac in self.rho)
+        return _polynomial_at(self.rho, x)
+
+
+def _polynomial_at(side: tuple[tuple[int, float], ...], x: float) -> float:
+    """sum of frac * x^(deg-1), added left to right: builtin sum() of floats
+    is compensated from Python 3.12 on, which moves the last bits."""
+    total = 0.0
+    for deg, frac in side:
+        total += frac * x ** (deg - 1)
+    return total
 
 
 def de_step(dist: EdgeDistribution, p: float, x: float) -> float:
@@ -108,7 +117,10 @@ def _fixed_point_ratio(dist: EdgeDistribution, x: float) -> float:
         for _ in range(deg - 1):
             s = 1.0 + y * s
         r += frac * s
-    denom = sum(frac * x ** (deg - 2) * r ** (deg - 1) for deg, frac in dist.lam)
+    # Left to right, for the reason _polynomial_at gives.
+    denom = 0.0
+    for deg, frac in dist.lam:
+        denom += frac * x ** (deg - 2) * r ** (deg - 1)
     return 1.0 / denom if denom > 0.0 else math.inf
 
 

@@ -49,6 +49,17 @@ def test_lmax_rejects_bad_max_degree_line(tmp_path, capsys):
     assert err.startswith("error: alist line 2")
 
 
+def test_lmax_names_the_line_of_a_bad_entry_token(tmp_path, capsys):
+    lines = format_alist(fixtures()["chainD"]).splitlines()
+    lines[9] = lines[9].replace("3", "x3")  # entry line 10: row 2
+    path = tmp_path / "bad.alist"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "lmax", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: alist line 10: invalid literal for int() with base 10: 'x3'\n"
+
+
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 
@@ -109,10 +120,56 @@ def test_stopsets_tsv(capsys):
     assert lines[2] == "0 1 2 3\t4\t0 1 2\t3"
 
 
-def test_stopsets_respects_limit(capsys):
-    code, _, err = run(capsys, "stopsets", "fixtures:cycle4", "--max-n", "3")
+def test_stopsets_respects_limit(tmp_path, capsys):
+    code, out, err = run(capsys, "stopsets", "fixtures:cycle4", "--max-n", "3")
     assert code == 1
+    assert out == ""
     assert "2^n" in err
+    # Refused before the output file is opened.
+    target = tmp_path / "sets.tsv"
+    assert run(capsys, "stopsets", "fixtures:cycle4", "--max-n", "3",
+               "--out", str(target))[0] == 1
+    assert not target.exists()
+
+
+def test_stopsets_output_is_pinned(tmp_path, capsys):
+    # Digests of the table as it was built whole before printing; rows are
+    # now written one by one and must come out byte for byte the same.
+    g12 = tmp_path / "g12.alist"
+    assert run(capsys, "gen", "--n", "12", "--m", "6", "--dv", "3", "--dc", "6",
+               "--seed", "1", "--girth-floor", "4", "--out", str(g12))[0] == 0
+    pinned = {
+        "fixtures:chainD": "35fc6aa1f4e059d92bfe91f0de97a19e6a3e600e5486b77ce3ac3a8c58ac5fce",
+        "fixtures:two-cycles3": "bd65ba1c570872d07e4cce7a71283b587f5fc0937d238044461734bfa56ef84d",
+        "fixtures:cycle4": "ae45c6bc0dae86c1c0e7deae003419c8d72671cf93e3521da96fc2e991feeda4",
+        str(g12): "6eb5266e34412a98450c8b29340d5ad203c14fab1720fae093cabcdd4f3b9e40",
+    }
+    for graph, digest in pinned.items():
+        code, out, _ = run(capsys, "stopsets", graph)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, graph
+        target = tmp_path / "sets.tsv"
+        assert run(capsys, "stopsets", graph, "--out", str(target))[0] == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, graph
+
+
+def test_stopsets_rows_are_written_as_found(capsys, monkeypatch):
+    import burstldpc.cli as cli
+    from burstldpc import InternalInvariantError
+
+    oracle = cli.all_pivots_oracle
+    calls = []
+
+    def stop_at_third_set(g, s):
+        calls.append(s)
+        if len(calls) == 3:
+            raise InternalInvariantError("stopped for testing")
+        return oracle(g, s)
+
+    monkeypatch.setattr(cli, "all_pivots_oracle", stop_at_third_set)
+    code, out, _ = run(capsys, "stopsets", "fixtures:two-cycles3")
+    assert code == 2
+    assert out == "members\tspan\tpivots\tpivot_span\n0 1 2\t3\t0 1 2\t3\n3 4 5\t3\t3 4 5\t3\n"
 
 
 def test_stopsets_runs_without_numpy():

@@ -3,11 +3,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstldpc import (GenSpec, all_pivots_oracle, enumerate_stopping_sets,
                        fixtures, format_alist, gen_regular, is_stopping_set)
 from burstldpc.codegen import (_FOUR_CYCLE_PASSES, _FourCycles, _matched_rows,
-                               _repair, four_cycle_count)
+                               _ParallelEdges, _repair, four_cycle_count)
 from conftest import brute_four_cycle_pairs, random_graph
 
 
@@ -43,6 +45,18 @@ def test_gen_regular_girth_effort():
     spec4 = GenSpec(n=512, m=256, var_degree=3, check_degree=6, rng_seed=1,
                     girth_floor=4)
     assert brute_four_cycle_pairs(gen_regular(spec4).check_adj) != []
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=7),
+                     min_size=1, max_size=12)
+       .filter(lambda rows: any(len(set(row)) < len(row) for row in rows)))
+def test_parallel_edges_match_the_per_entry_scan(rows):
+    # Rows without a repeat are skipped whole; the list and its order, which
+    # the repair's rng draws index, must be those of testing every entry.
+    assert _ParallelEdges(rows).conflicts() == [
+        (c, i) for c, row in enumerate(rows) for i, v in enumerate(row)
+        if row.count(v) > 1]
 
 
 class _Refereed(_FourCycles):

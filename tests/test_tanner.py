@@ -40,6 +40,18 @@ def test_duplicate_edge_rejected():
     assert exc.value.column == 1
 
 
+@pytest.mark.parametrize("row, message, column", [
+    ([2, 2, 9], "row 1: duplicate edge to variable 2", 2),
+    ([9, 2, 2], "row 1: variable index 9 out of range (n=4)", 9),
+    ([3, -1, 3], "row 1: variable index -1 out of range (n=4)", -1),
+])
+def test_first_bad_entry_in_row_order_is_reported(row, message, column):
+    with pytest.raises(GraphValidationError) as exc:
+        TannerGraph.from_rows([[0, 1], row], 4)
+    assert str(exc.value) == message
+    assert (exc.value.row, exc.value.column) == (1, column)
+
+
 def test_empty_graph_rejected():
     with pytest.raises(GraphValidationError):
         TannerGraph.from_rows([], 3)
@@ -191,6 +203,48 @@ def test_alist_inconsistent_sides_rejected():
     text[4] = "2"  # column 0 claims check 2 instead of check 1
     with pytest.raises(GraphValidationError):
         parse_alist("\n".join(text) + "\n")
+
+
+def _chain_d_alist_lines() -> list[str]:
+    # n=4, m=3: lines 5-8 list the columns, lines 9-11 the rows.
+    return format_alist(TannerGraph.from_rows([[0, 1], [1, 2], [0, 2, 3]], 4)).splitlines()
+
+
+def _parse_error(lines: list[str]) -> GraphValidationError:
+    with pytest.raises(GraphValidationError) as exc:
+        parse_alist("\n".join(lines) + "\n")
+    return exc.value
+
+
+@pytest.mark.parametrize("index", [4, 7, 8, 10])
+def test_alist_bad_entry_token_names_its_line(index):
+    lines = _chain_d_alist_lines()
+    lines[index] += " 1.5"
+    assert str(_parse_error(lines)) == (
+        f"alist line {index + 1}: invalid literal for int() with base 10: '1.5'")
+
+
+def test_alist_earlier_count_mismatch_wins_over_later_bad_token():
+    lines = _chain_d_alist_lines()
+    lines[5] = "1 2 3"  # column 1 lists three checks, declares two
+    lines[9] = "2 zz 0"  # row 1
+    err = _parse_error(lines)
+    assert str(err) == "alist: column 1 lists 3 checks, declared 2"
+    assert err.column == 1
+    # The other way round: the bad token comes first and wins.
+    lines = _chain_d_alist_lines()
+    lines[7] = "zz"  # column 3
+    lines[10] = "1 3"  # row 2 lists two variables, declares three
+    assert str(_parse_error(lines)).startswith("alist line 8: ")
+
+
+def test_alist_count_mismatch_names_the_first_offender():
+    lines = _chain_d_alist_lines()
+    lines[9] = "2 0 0"  # row 1 lists one variable
+    lines[10] = "1 3 0"  # row 2 lists two
+    err = _parse_error(lines)
+    assert str(err) == "alist: row 1 lists 1 variables, declared 2"
+    assert err.row == 1
 
 
 def test_alist_bad_dimensions():
