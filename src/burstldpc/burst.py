@@ -9,11 +9,21 @@ window j, and one worklist over the checks recovers, in every window at
 once, the variables that are a check's only erased neighbor.  The order
 in which checks are visited does not matter: a failed peel always
 leaves the union of the stopping sets inside its window.
+
+A block of windows touches only the positions its windows cover, so
+the kernel evaluates each check over a clipped row: the check's members
+in that range, cut from its sorted row.  A member that is recovered in
+every window of the block is dropped from the clipped rows of its other
+checks, so later evaluations skip it.  Neither changes a mask, only how
+much of the graph each evaluation reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
+from operator import xor
 
 from .tanner import InternalInvariantError, TannerGraph
 
@@ -96,27 +106,36 @@ def _peel_windows(g: TannerGraph, length: int, lo: int, hi: int) -> list[int]:
 
     Returns one mask per variable: bit j - lo is set iff the variable
     stays erased when the window starting at j is peeled.
+
+    Only positions lo .. top-1, top = hi + length - 1, are erased in any
+    of these windows, so each check the block touches is evaluated over
+    its members in [lo, top) alone, cut from its sorted row by bisection.
+    A member whose mask reaches 0 is clean in every window and leaves the
+    clipped rows of its other checks.
     """
     var_adj, check_adj = g.var_adj, g.check_adj
-    width = hi - lo
-    erased = [0] * g.n
+    width, top = hi - lo, hi + length - 1
+    # Position lo + i lies in the windows lo + i-length+1 .. lo + i, clipped
+    # to the block: bits max(i-length+1, 0) .. min(i, width-1).
+    prefix = [(1 << k) - 1 for k in range(width + 1)]
+    upper = prefix[1:] + prefix[-1:] * (length - 1)
+    lower = [0] * (length - 1) + prefix[:width]
+    erased = [0] * lo + list(map(xor, upper, lower)) + [0] * (g.n - top)
+
+    queue = list(dict.fromkeys(chain.from_iterable(var_adj[lo:top])))
     queued = bytearray(g.m)
-    queue: list[int] = []
-    for v in range(lo, hi + length - 1):
-        # Variable v lies in the windows starting at v-length+1 .. v.
-        first = max(v - length + 1 - lo, 0)
-        last = min(v - lo, width - 1)
-        erased[v] = ((1 << (last - first + 1)) - 1) << first
-        for c in var_adj[v]:
-            if not queued[c]:
-                queued[c] = 1
-                queue.append(c)
+    # Untouched checks are never read; each touched one gets its own list.
+    rows: list = [None] * g.m
+    for c in queue:
+        queued[c] = 1
+        row = check_adj[c]
+        rows[c] = row[bisect_left(row, lo):bisect_left(row, top)]
 
     while queue:
         later: list[int] = []
         for c in queue:
             queued[c] = 0
-            row = check_adj[c]
+            row = rows[c]
             one = two = 0
             for v in row:
                 e = erased[v]
@@ -128,13 +147,17 @@ def _peel_windows(g: TannerGraph, length: int, lo: int, hi: int) -> list[int]:
             if not left:
                 continue
             for v in row:
-                recovered = erased[v] & left
+                e = erased[v]
+                recovered = e & left
                 if recovered:
-                    erased[v] ^= recovered
+                    erased[v] = e = e ^ recovered
                     for c2 in var_adj[v]:
-                        if not queued[c2] and c2 != c:
-                            queued[c2] = 1
-                            later.append(c2)
+                        if c2 != c:
+                            if not e:
+                                rows[c2].remove(v)
+                            if not queued[c2]:
+                                queued[c2] = 1
+                                later.append(c2)
                     left ^= recovered
                     if not left:
                         break

@@ -64,6 +64,8 @@ class PssConfig:
     def __post_init__(self) -> None:
         if self.f_max is not None and self.f_max < 1:
             raise ValueError(f"f_max must be >= 1, got {self.f_max}")
+        if self.max_length is not None and self.max_length < 1:
+            raise ValueError(f"max_length must be >= 1, got {self.max_length}")
         if self.pivot_pool_policy not in POOL_POLICIES:
             raise ValueError(f"pivot_pool_policy must be one of {POOL_POLICIES}")
         if self.restrict_to_systematic is not None:

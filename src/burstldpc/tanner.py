@@ -8,9 +8,10 @@ construction order.
 
 Column permutation is the fundamental mutation.  ``apply_permutation``
 returns a relabeled copy; ``swap_columns`` transposes two columns in
-place in O(deg(a) + deg(b)), which matters because the burst optimizer
-performs many swaps with rollback.  A graph is safe to share read-only
-across threads; in-place mutation requires exclusive access.
+place, touching only the rows of their checks, which matters because
+the burst optimizer performs many swaps with rollback.  A graph is safe
+to share read-only across threads; in-place mutation requires exclusive
+access.
 """
 
 from __future__ import annotations
@@ -147,23 +148,25 @@ class TannerGraph:
         return TannerGraph(self.n, self.m, check_adj, var_adj)
 
     def swap_columns(self, a: int, b: int) -> None:
-        """Transpose columns a and b in place; O(deg(a) + deg(b))."""
+        """Transpose columns a and b in place; rows stay sorted."""
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise GraphValidationError(f"swap ({a} {b}) out of range (n={self.n})")
         if a == b:
             return
-        checks_a = set(self.var_adj[a])
-        checks_b = set(self.var_adj[b])
-        # Checks touching both columns keep the same support.
-        for c in checks_a - checks_b:
-            row = self.check_adj[c]
-            row[row.index(a)] = b
-            row.sort()
-        for c in checks_b - checks_a:
-            row = self.check_adj[c]
-            row[row.index(b)] = a
-            row.sort()
-        self.var_adj[a], self.var_adj[b] = self.var_adj[b], self.var_adj[a]
+        checks_a, checks_b = self.var_adj[a], self.var_adj[b]
+        # Checks touching both columns keep the same support.  Columns are
+        # short, so membership is tested on the lists themselves.
+        for c in checks_a:
+            if c not in checks_b:
+                row = self.check_adj[c]
+                row[row.index(a)] = b
+                row.sort()
+        for c in checks_b:
+            if c not in checks_a:
+                row = self.check_adj[c]
+                row[row.index(b)] = a
+                row.sort()
+        self.var_adj[a], self.var_adj[b] = checks_b, checks_a
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TannerGraph):

@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from burstldpc import burst
 from burstldpc import (BurstScanResult, GenSpec, PeelingDecoder, all_pivots_oracle,
                        compute_lmax, fixtures, gen_regular, min_stopping_set_span,
                        scan_length)
@@ -90,6 +94,35 @@ def test_scan_matches_sweep_decoder_near_lmax(seed):
         _assert_scan_matches_sweep(g, length)
 
 
+@st.composite
+def swapped_graph_and_block(draw):
+    """A graph after random column swaps, a length and a block of starts
+    lo .. hi-1 anywhere in the scan, so most blocks start past 0."""
+    g = draw(graphs())
+    columns = st.integers(0, g.n - 1)
+    for a, b in draw(st.lists(st.tuples(columns, columns), max_size=12)):
+        g.swap_columns(a, b)
+    length = draw(st.integers(1, g.n))
+    total = g.n - length + 1
+    lo = draw(st.integers(0, total - 1))
+    hi = draw(st.integers(lo + 1, total))
+    return g, length, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=swapped_graph_and_block())
+def test_peel_windows_matches_sweep_decoder_property(case):
+    # The kernel clips each row to the block by bisection, which relies on
+    # rows staying sorted through swaps.
+    g, length, lo, hi = case
+    erased = burst._peel_windows(g, length, lo, hi)
+    assert len(erased) == g.n
+    for j in range(lo, hi):
+        stuck = {v for v, mask in enumerate(erased) if mask >> (j - lo) & 1}
+        assert stuck == sweep_peel(g, range(j, j + length))
+    assert all(mask >> (hi - lo) == 0 for mask in erased)
+
+
 def test_compute_lmax_fixtures():
     assert compute_lmax(fixtures()["cycle4"]) == 3
     assert compute_lmax(fixtures()["chain4"]) == 3  # n - k for this chain
@@ -109,6 +142,25 @@ def test_compute_lmax_matches_sweep_decoder_property(g):
     # Most such graphs have L_max = 0 and a few L_max = n, so the search
     # reaches both of its ends.
     assert compute_lmax(g) == brute_lmax(g)
+
+
+def test_lmax_and_scan_pinned_at_scale():
+    # L_max of the seed-1 (3,6) codes, and at n=2640 the failing start and
+    # residual one length past it: work-saving changes to the window kernel
+    # must leave all of them as they are.
+    def code(n):
+        return gen_regular(GenSpec(n=n, m=n // 2, var_degree=3, check_degree=6,
+                                   rng_seed=1))
+
+    assert compute_lmax(code(512)) == 200
+    g = code(2640)
+    assert compute_lmax(g) == 1087
+    scan = scan_length(g, 1088)
+    assert scan.decode_calls == 2640 - 1088 + 1
+    text = (" ".join(map(str, scan.uncorrectable_starts)) + "\n"
+            + "\n".join(" ".join(map(str, sorted(r))) for r in scan.residuals))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "248a330456fdb5e4ac8f53f1cde29998e78b697ed3409027100dadb4d963e73c"
 
 
 def test_compute_lmax_equals_min_span_minus_one(rng):

@@ -290,6 +290,15 @@ def test_pss_systematic_flags(tmp_path, capsys):
     assert all(image == i for i, image in enumerate(perm.mapping) if i >= 24)
 
 
+@pytest.mark.parametrize("flag, value", [("--max-length", "-1"), ("--max-length", "0"),
+                                         ("--fmax", "0")])
+def test_pss_rejects_limits_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "pss", "fixtures:cycle4", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
 def test_internal_error_maps_to_exit_2(capsys, monkeypatch):
     from burstldpc import InternalInvariantError
     import burstldpc.cli as cli

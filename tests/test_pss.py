@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from burstldpc import (Burst, GenSpec, InternalInvariantError, PssConfig,
                        choose_swap_target, compute_lmax, eligible_swap_targets,
-                       fixtures, gen_regular, pivot_pool_for_burst, pss_optimize,
-                       scan_length)
+                       fixtures, format_permutation, gen_regular,
+                       pivot_pool_for_burst, pss_optimize, scan_length)
 from burstldpc.pss import _round_choices, _snapshot, _swap_round
 
 
@@ -213,6 +214,29 @@ def test_config_validation():
         PssConfig(f_max=0)
     with pytest.raises(ValueError):
         PssConfig(pivot_pool_policy="everything")
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_length"):
+            PssConfig(max_length=bad)
+    assert PssConfig(max_length=1).max_length == 1
+
+
+def test_pss_outputs_pinned_at_n512():
+    # The report as `burstldpc pss --report` writes it, and the permutation
+    # file, on a code six times the benchmark's n; about 0.3 s.
+    g = gen_regular(GenSpec(n=512, m=256, var_degree=3, check_degree=6, rng_seed=1))
+    result = pss_optimize(g, PssConfig(rng_seed=7, f_max=20))
+    lines = ["L,N_B,F_act,decode_calls,accepted,aborted_rounds"]
+    lines += [f"{r.length},{r.n_b},{r.f_act},{r.decode_calls},"
+              f"{str(r.accepted).lower()},{r.aborted_rounds}" for r in result.report.rows]
+    digests = {
+        "report": hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest(),
+        "perm": hashlib.sha256(format_permutation(result.permutation).encode()).hexdigest(),
+    }
+    assert (result.report.original_lmax, result.report.final_lmax) == (200, 208)
+    assert digests == {
+        "report": "2128bd0eb30fdddfcbef2b800f17c2c0b7970c8a30371ec5be5feca929339fc1",
+        "perm": "42401df4bbf3edcc888ee911f36c805fa9bf9d65daa1094c1900321c9a2ca53c",
+    }
 
 
 def test_full_closure_policy_runs(code128):

@@ -120,6 +120,37 @@ def test_swap_columns_matches_transposition(rng):
         assert sorted(h.variable_degrees()) == sorted(g.variable_degrees())
 
 
+@st.composite
+def graph_and_pair(draw):
+    """A graph and two columns that share a check, have degree 0, or are
+    drawn freely (a == b included)."""
+    g = draw(graphs())
+    shared = [row for row in g.check_adj if len(row) >= 2]
+    zero = [v for v, col in enumerate(g.var_adj) if not col]
+    kind = draw(st.sampled_from(("shared", "zero", "any")))
+    if kind == "shared" and shared:
+        a, b = draw(st.permutations(draw(st.sampled_from(shared))))[:2]
+    elif kind == "zero" and zero:
+        a = draw(st.sampled_from(zero))
+        b = draw(st.integers(0, g.n - 1))
+    else:
+        a, b = draw(st.integers(0, g.n - 1)), draw(st.integers(0, g.n - 1))
+    return g, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graph_and_pair())
+def test_swap_columns_property(case):
+    g, a, b = case
+    h = g.copy()
+    h.swap_columns(a, b)
+    images = list(range(g.n))
+    images[a], images[b] = b, a
+    assert h == g.apply_permutation(Permutation(tuple(images)))
+    assert all(row == sorted(row) for row in h.check_adj)
+    assert all(col == sorted(col) for col in h.var_adj)
+
+
 def test_swap_columns_out_of_range():
     g = TannerGraph.from_rows([[0, 1]], 2)
     with pytest.raises(GraphValidationError):
