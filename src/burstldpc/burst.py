@@ -75,28 +75,25 @@ def scan_length(g: TannerGraph, length: int, *, early_exit: bool = False,
     With ``early_exit`` the scan stops at the first failure (useful for
     yes/no probes) and ``decode_calls`` counts the windows up to and
     including it; the windows are then peeled in blocks of doubling
-    width, so an early failure costs little.
+    width, so an early failure costs little.  A full scan is one block.
     """
     if not 1 <= length <= g.n:
         raise ValueError(f"burst length {length} out of range 1..{g.n}")
     total = g.n - length + 1
-
-    if not early_exit:
-        erased = _peel_windows(g, length, 0, total)
-        starts = _bits(_union(erased))
-        residuals = _residuals(erased, length, 0, starts) if collect_residuals else ()
-        return BurstScanResult(length, starts, residuals, total)
-
-    lo, width = 0, _FIRST_BLOCK
+    lo, width = 0, _FIRST_BLOCK if early_exit else total
     while lo < total:
         hi = min(lo + width, total)
         erased = _peel_windows(g, length, lo, hi)
-        failed = _union(erased)
+        failed = 0
+        for e in erased:
+            failed |= e
         if failed:
-            j = lo + (failed & -failed).bit_length() - 1
-            residuals = (_residuals(erased, length, lo, (j,))
-                         if collect_residuals else ())
-            return BurstScanResult(length, (j,), residuals, j + 1)
+            if early_exit:
+                failed &= -failed
+            starts = tuple(lo + j for j in _bits(failed))
+            residuals = _residuals(erased, length, lo, starts) if collect_residuals else ()
+            return BurstScanResult(length, starts, residuals,
+                                   starts[0] + 1 if early_exit else total)
         lo, width = hi, 2 * width
     return BurstScanResult(length, (), (), total)
 
@@ -163,13 +160,6 @@ def _peel_windows(g: TannerGraph, length: int, lo: int, hi: int) -> list[int]:
                         break
         queue = later
     return erased
-
-
-def _union(erased: list[int]) -> int:
-    failed = 0
-    for e in erased:
-        failed |= e
-    return failed
 
 
 def _bits(mask: int) -> tuple[int, ...]:

@@ -25,7 +25,9 @@ adds only its own earlier targets.
 
 Only column transpositions are ever applied.  The output graph is a
 column relabeling of the input, so sparsity, degree distribution, and
-decoding behavior under independent erasures are untouched.
+decoding behavior under independent erasures are untouched.  One check
+at the end of the run, comparing the output with the input relabeled by
+the returned permutation, covers every accepted and refused round.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ class PssConfig:
 
     ``f_max`` defaults to n at run time.  ``restrict_to_systematic``
     limits both the swapped pivot and the target column to the given
-    index set (empty/None means all columns).  ``validate_rollback``
-    snapshots the graph before every applied round and verifies that a
-    refused round restores it, for tests.
+    index set, 0 .. n-1 (empty/None means all columns).  The columns
+    outside it are barred once per run: they are no window's pivots and
+    every window's excluded targets.
     """
 
     f_max: int | None = None
@@ -59,7 +61,6 @@ class PssConfig:
     pivot_pool_policy: str = "one-hop"
     restrict_to_systematic: frozenset[int] | None = None
     max_length: int | None = None
-    validate_rollback: bool = False
 
     def __post_init__(self) -> None:
         if self.f_max is not None and self.f_max < 1:
@@ -134,13 +135,12 @@ def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
 
 
 def eligible_swap_targets(n: int, burst: Burst, pivot: int,
-                          excluded: Collection[int],
-                          allowed: frozenset[int] | None = None) -> list[int]:
+                          excluded: Collection[int]) -> list[int]:
     """Columns the chosen pivot may be swapped with, ascending.
 
     Always outside the window and outside ``excluded`` (other windows'
-    pools, targets already chosen this round; a set, since every
-    candidate is tested against it).  An endpoint pivot may
+    pools, barred columns, targets already chosen this round; a set,
+    since every candidate is tested against it).  An endpoint pivot may
     only move outward -- below the window for the first position, above
     it for the last -- otherwise its displaced position could land close
     enough to the window to leave the pivot span too small.
@@ -152,35 +152,33 @@ def eligible_swap_targets(n: int, burst: Burst, pivot: int,
         candidates = above
     else:
         candidates = chain(below, above)
-    return [j for j in candidates
-            if j not in excluded and (allowed is None or j in allowed)]
+    return [j for j in candidates if j not in excluded]
 
 
 def choose_swap_target(rng: random.Random, n: int, burst: Burst, pivot: int,
-                       excluded: Collection[int],
-                       allowed: frozenset[int] | None = None) -> int | None:
+                       excluded: Collection[int]) -> int | None:
     """Uniform choice among eligible targets; None when none exists."""
-    candidates = eligible_swap_targets(n, burst, pivot, excluded, allowed)
+    candidates = eligible_swap_targets(n, burst, pivot, excluded)
     if not candidates:
         return None
     return candidates[rng.randrange(len(candidates))]
 
 
-def _round_choices(pools: list[PivotSet], allowed: frozenset[int] | None
+def _round_choices(pools: list[PivotSet], barred: frozenset[int]
                    ) -> tuple[list[list[int]], list[frozenset[int]]]:
-    """Per window, its swappable pivots ascending and the union of every
-    other window's pool; both are fixed for the whole length."""
+    """Per window, its swappable pivots ascending and its excluded targets:
+    the union of every other window's pool and the barred columns.  Both
+    are fixed for the whole length."""
     counts = Counter(j for pool in pools for j in pool.pivots)
-    pivots = [sorted(p.pivots if allowed is None else p.pivots & allowed)
-              for p in pools]
-    others = [frozenset(j for j, k in counts.items() if k > (j in p.pivots))
+    pivots = [sorted(p.pivots - barred) for p in pools]
+    others = [barred.union(j for j, k in counts.items() if k > (j in p.pivots))
               for p in pools]
     return pivots, others
 
 
 def _swap_round(rng: random.Random, n: int, bursts: list[Burst],
-                pivots: list[list[int]], others: list[frozenset[int]],
-                allowed: frozenset[int] | None) -> list[tuple[int, int]] | None:
+                pivots: list[list[int]], others: list[frozenset[int]]
+                ) -> list[tuple[int, int]] | None:
     """Choose one (pivot, target) swap per window, without applying any.
 
     ``pivots`` and ``others`` come from ``_round_choices``; only this
@@ -194,7 +192,7 @@ def _swap_round(rng: random.Random, n: int, bursts: list[Burst],
             return None
         pivot = candidates[rng.randrange(len(candidates))]
         target = choose_swap_target(rng, n, burst, pivot,
-                                    (banned | earlier) if earlier else banned, allowed)
+                                    (banned | earlier) if earlier else banned)
         if target is None:
             return None
         swaps.append((pivot, target))
@@ -209,21 +207,21 @@ def _apply(work: TannerGraph, original: list[int],
         original[a], original[b] = original[b], original[a]
 
 
-def _snapshot(g: TannerGraph) -> tuple[list[list[int]], list[list[int]]]:
-    return ([list(r) for r in g.check_adj], [list(c) for c in g.var_adj])
-
-
 def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
     """Run the full optimization loop; see the module docstring.
 
-    The returned graph equals ``g.apply_permutation(permutation)``, and
-    ``report.final_lmax`` is re-verified on the output by an independent
-    scan after the loop ends.
+    The run checks that the returned graph equals
+    ``g.apply_permutation(permutation)`` and re-verifies
+    ``report.final_lmax`` on it by an independent scan.
     """
     cfg = cfg or PssConfig()
     n = g.n
     f_max = cfg.f_max if cfg.f_max is not None else n
-    allowed = cfg.restrict_to_systematic or None
+    allowed = cfg.restrict_to_systematic
+    if allowed and (min(allowed) < 0 or max(allowed) >= n):
+        raise ValueError(f"restrict_to_systematic indices must lie in 0..{n - 1}, "
+                         f"got {min(allowed)}..{max(allowed)}")
+    barred = frozenset(range(n)).difference(allowed) if allowed else frozenset()
     last = n if cfg.max_length is None else min(n, cfg.max_length)
     rng = random.Random(cfg.rng_seed)
 
@@ -240,14 +238,13 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
         bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
         pools = [pivot_pool_for_burst(work, b, r, policy=cfg.pivot_pool_policy)
                  for b, r in zip(bursts, scan.residuals)]
-        pivots, others = _round_choices(pools, allowed)
+        pivots, others = _round_choices(pools, barred)
         trials = aborts = 0
         while not accepted and trials + aborts < f_max:
-            swaps = _swap_round(rng, n, bursts, pivots, others, allowed)
+            swaps = _swap_round(rng, n, bursts, pivots, others)
             if swaps is None:
                 aborts += 1
                 continue
-            before = _snapshot(work) if cfg.validate_rollback else None
             _apply(work, original, swaps)
             rescan = scan_length(work, length, early_exit=True,
                                  collect_residuals=False)
@@ -256,17 +253,19 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
             accepted = rescan.n_b == 0
             if not accepted:
                 _apply(work, original, reversed(swaps))
-                if before is not None and _snapshot(work) != before:
-                    raise InternalInvariantError(
-                        "refused round did not restore the graph")
         rows.append(PssRow(length, scan.n_b, trials, row_calls, accepted, aborts))
         if not accepted:
             break
         length += 1
 
+    permutation = Permutation(tuple(original)).inverse()
+    if work != g.apply_permutation(permutation):
+        raise InternalInvariantError(
+            "optimized graph is not the input relabeled by the returned "
+            "permutation; a swap or its rollback was lost")
     final_lmax = compute_lmax(work)
     if final_lmax < length - 1:
         raise InternalInvariantError(
             f"verification scan found L_max {final_lmax} below accepted {length - 1}")
     report = PssReport(tuple(rows), original_lmax, final_lmax)
-    return PssResult(work, Permutation(tuple(original)).inverse(), report)
+    return PssResult(work, permutation, report)

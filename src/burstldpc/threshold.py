@@ -59,6 +59,9 @@ class EdgeDistribution:
     @classmethod
     def from_node_multiplicities(cls, variable: Mapping[int, int],
                                  check: Mapping[int, int]) -> "EdgeDistribution":
+        """Degree-0 and count-0 entries are dropped; a negative count is an error."""
+        if any(c < 0 for side in (variable, check) for c in side.values()):
+            raise ValueError("negative node count in the degree multiplicities")
         var_edges = sum(d * c for d, c in variable.items())
         check_edges = sum(d * c for d, c in check.items())
         if var_edges != check_edges:

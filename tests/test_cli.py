@@ -215,6 +215,14 @@ def test_threshold_multiplicities(capsys):
     assert out.splitlines()[1] == "lmax_target 27"
 
 
+def test_threshold_rejects_negative_counts(capsys):
+    code, out, err = run(capsys, "threshold", "--var-mult", "3:-2",
+                         "--check-mult", "6:-1", "--n", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "negative node count" in err
+
+
 def test_threshold_has_no_tolerance_option(capsys):
     code, out, err = run(capsys, "threshold", "--regular", "3", "6", "--tol", "1e-9")
     assert code == 1
@@ -288,6 +296,27 @@ def test_pss_systematic_flags(tmp_path, capsys):
     assert code == 0
     perm = parse_permutation(perm_path.read_text())
     assert all(image == i for i, image in enumerate(perm.mapping) if i >= 24)
+
+
+def test_pss_lost_swap_exits_2(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.alist"
+    run(capsys, "gen", "--n", "64", "--m", "32", "--dv", "3", "--dc", "6",
+        "--seed", "5", "--out", str(src))
+    swap_columns = burstldpc.TannerGraph.swap_columns
+    calls = []
+
+    def lossy(self, a, b):
+        calls.append((a, b))
+        if len(calls) != 1:
+            swap_columns(self, a, b)
+
+    monkeypatch.setattr(burstldpc.TannerGraph, "swap_columns", lossy)
+    out_path = tmp_path / "out.alist"
+    code, out, err = run(capsys, "pss", str(src), "--seed", "7", "--fmax", "16",
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("internal error: ") and "relabeled" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--max-length", "-1"), ("--max-length", "0"),

@@ -1,15 +1,16 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstldpc import (Burst, GenSpec, InternalInvariantError, PssConfig,
-                       choose_swap_target, compute_lmax, eligible_swap_targets,
-                       fixtures, format_permutation, gen_regular,
-                       pivot_pool_for_burst, pss_optimize, scan_length)
-from burstldpc.pss import _round_choices, _snapshot, _swap_round
+from burstldpc import (Burst, GenSpec, InternalInvariantError, PivotSet, PssConfig,
+                       TannerGraph, choose_swap_target, compute_lmax,
+                       eligible_swap_targets, fixtures, format_permutation,
+                       gen_regular, pivot_pool_for_burst, pss_optimize, scan_length)
+from burstldpc.pss import _round_choices, _swap_round
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +77,17 @@ def test_targets_last_endpoint_moves_right():
 
 
 def test_targets_respect_exclusions_and_allowed():
+    # A restriction to columns 0..9 of n=12 bars 10 and 11; the optimizer
+    # passes barred columns in with the other exclusions.
+    barred = frozenset({10, 11})
     burst = Burst(4, 3)
-    targets = eligible_swap_targets(12, burst, pivot=5, excluded={0, 1, 8},
-                                    allowed=frozenset(range(0, 10)))
+    targets = eligible_swap_targets(12, burst, pivot=5, excluded={0, 1, 8} | barred)
     assert targets == [2, 3, 7, 9]
+    pools = [PivotSet(frozenset({4, 5, 6})), PivotSet(frozenset({6, 8, 10, 11}))]
+    pivots, others = _round_choices(pools, barred)
+    assert pivots == [[4, 5, 6], [6, 8]]
+    assert others == [frozenset({6, 8, 10, 11}), frozenset({4, 5, 6, 10, 11})]
+    assert all(barred.isdisjoint(p) and barred <= o for p, o in zip(pivots, others))
 
 
 def test_choose_swap_target_none_on_empty():
@@ -120,11 +128,11 @@ def test_swap_round_displaces_pivot_span_beyond_length():
     bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
     pools = [pivot_pool_for_burst(g, b, r)
              for b, r in zip(bursts, scan.residuals)]
-    before = _snapshot(g)
+    before = g.copy()
     swaps = _swap_round(random.Random(5), g.n, bursts,
-                        *_round_choices(pools, None), None)
+                        *_round_choices(pools, frozenset()))
     assert swaps is not None
-    assert _snapshot(g) == before  # choosing a round never touches the graph
+    assert g == before  # choosing a round never touches the graph
     for burst, pool, (pivot, target) in zip(bursts, pools, swaps):
         relabeled = {target if v == pivot else v for v in pool.pivots}
         span = max(relabeled) - min(relabeled) + 1
@@ -176,12 +184,31 @@ def test_optimizer_seed_determinism(code128):
 
 
 def test_rollback_restores_graph_exactly(code128):
-    cfg = PssConfig(rng_seed=2, validate_rollback=True)
-    result = pss_optimize(code128, cfg)
-    # validate_rollback makes the optimizer itself compare snapshots after
-    # every refused round; make sure refusals actually happened.
+    before = code128.copy()
+    result = pss_optimize(code128, PssConfig(rng_seed=2))
+    # The optimizer checks that its output is the input relabeled, which a
+    # refused round left unrestored would break; make sure refusals happened.
     assert any(row.f_act > row.accepted for row in result.report.rows)
+    assert code128 == before
+    assert result.graph == before.apply_permutation(result.permutation)
     assert result.report.final_lmax >= result.report.original_lmax
+
+
+def test_lost_swap_fails_the_relabeling_check(code128, monkeypatch):
+    # Drop one transposition mid-run, as a broken apply or rollback would.
+    # Unchecked, this run returns L_max 38 -> 51 on a graph that is not a
+    # relabeling of the input.
+    swap_columns = TannerGraph.swap_columns
+    calls = itertools.count(1)
+
+    def lossy(self, a, b):
+        if next(calls) != 40:
+            swap_columns(self, a, b)
+
+    monkeypatch.setattr(TannerGraph, "swap_columns", lossy)
+    with pytest.raises(InternalInvariantError, match="not the input relabeled"):
+        pss_optimize(code128, PssConfig(rng_seed=2))
+    assert next(calls) > 40
 
 
 def test_accounting_bounded_with_early_exit():
@@ -207,6 +234,48 @@ def test_systematic_restriction_confines_swaps(code128):
     moved = {i for i, image in enumerate(result.permutation.mapping) if image != i}
     assert moved <= allowed
     assert result.report.final_lmax >= result.report.original_lmax
+
+
+@pytest.mark.parametrize("bad", [{7, 9}, {-1, 2}])
+def test_restriction_indices_must_lie_in_the_graph(bad):
+    g = fixtures()["cycle4"]
+    with pytest.raises(ValueError, match="restrict_to_systematic"):
+        pss_optimize(g, PssConfig(restrict_to_systematic=frozenset(bad), f_max=3))
+
+
+def _report_digests(result):
+    lines = ["L,N_B,F_act,decode_calls,accepted,aborted_rounds"]
+    lines += [f"{r.length},{r.n_b},{r.f_act},{r.decode_calls},"
+              f"{str(r.accepted).lower()},{r.aborted_rounds}" for r in result.report.rows]
+    return (hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest(),
+            hashlib.sha256(format_permutation(result.permutation).encode()).hexdigest())
+
+
+@pytest.mark.parametrize("lo, hi, policy, lmax, report, perm", [
+    # At n=128 the failing window at length 39 lies in 70..108, so with
+    # columns 0..63 it has no swappable pivot and every round aborts.
+    (0, 64, "one-hop", (38, 38),
+     "7e6e95e4d2664c0ae99154a3b3c1b43ebe4fb84365b4ac323070f8b143441bbe",
+     "19d3f0156062e3cceb628d4fdbf7aec123af5823ffa4728bc4a2fcb0385e97ba"),
+    (0, 64, "full-closure", (38, 38),
+     "7e6e95e4d2664c0ae99154a3b3c1b43ebe4fb84365b4ac323070f8b143441bbe",
+     "19d3f0156062e3cceb628d4fdbf7aec123af5823ffa4728bc4a2fcb0385e97ba"),
+    # Columns 8..119 leave trials, accepted lengths and restriction aborts.
+    (8, 120, "one-hop", (38, 50),
+     "cf1e5c85d59d655ea9bc1741df75152166fe9a682f8944733164be4c8cf40504",
+     "3d306eebcafb1cf27d915717f3a21ca4213dbbdeb6b23234408e4459e42e4505"),
+    (8, 120, "full-closure", (38, 51),
+     "4ee18280c6b7bee9deb9db5d60835b39b40ab3f27929069c453bc7fa561a4a44",
+     "7e56fb5eba3d3a992aa1bafa924428bde05a9314f39b36f81bf1d9c6f54013ce"),
+])
+def test_restricted_outputs_pinned(code128, lo, hi, policy, lmax, report, perm):
+    result = pss_optimize(code128, PssConfig(
+        rng_seed=6, restrict_to_systematic=frozenset(range(lo, hi)), f_max=24,
+        pivot_pool_policy=policy))
+    assert (result.report.original_lmax, result.report.final_lmax) == lmax
+    moved = {i for i, image in enumerate(result.permutation.mapping) if image != i}
+    assert moved <= set(range(lo, hi))
+    assert _report_digests(result) == (report, perm)
 
 
 def test_config_validation():

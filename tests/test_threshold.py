@@ -152,6 +152,14 @@ def test_distribution_validation():
         EdgeDistribution.from_node_multiplicities({3: 4}, {6: 3})  # 12 != 18
     with pytest.raises(ValueError):
         EdgeDistribution.from_node_multiplicities({}, {})
+    # Negative counts can balance the edge totals; they are refused anyway.
+    for var, check in (({3: -2}, {6: -1}), ({3: 2, 2: -1}, {4: 1}),
+                       ({3: 4}, {6: 3, 3: -2})):
+        with pytest.raises(ValueError, match="negative node count"):
+            EdgeDistribution.from_node_multiplicities(var, check)
+    # Degree-0 entries are dropped, as graphs with zero-degree columns need.
+    assert EdgeDistribution.from_node_multiplicities({3: 2, 0: 5}, {6: 1}) == \
+        EdgeDistribution.from_regular(3, 6)
 
 
 def test_edge_fractions_exact():
