@@ -98,32 +98,40 @@ def _parse_multiplicities(text: str) -> dict[int, int]:
     for part in text.split(","):
         deg, _, count = part.partition(":")
         try:
-            out[int(deg)] = int(count)
+            degree, multiplicity = int(deg), int(count)
         except ValueError:
             raise GraphValidationError(
                 f"bad multiplicity entry {part!r}; expected DEGREE:COUNT") from None
+        if degree in out:
+            raise GraphValidationError(
+                f"degree {degree} is listed twice in multiplicities {text!r}")
+        out[degree] = multiplicity
     return out
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     n = args.n
-    if args.regular:
+    if (args.var_mult is None) != (args.check_mult is None):
+        raise GraphValidationError("--var-mult and --check-mult go together")
+    sources = {"an alist input": args.input, "--regular": args.regular,
+               "--var-mult/--check-mult": args.var_mult}
+    given = [name for name, value in sources.items() if value is not None]
+    if len(given) != 1:
+        raise GraphValidationError(
+            "need exactly one of an alist input, --regular DV DC, or "
+            "--var-mult/--check-mult" + (f"; got {' and '.join(given)}" if given else ""))
+    if args.regular is not None:
         dv, dc = args.regular
         dist = EdgeDistribution.from_regular(dv, dc)
-    elif args.var_mult or args.check_mult:
-        if not (args.var_mult and args.check_mult):
-            raise GraphValidationError("--var-mult and --check-mult go together")
-        dist = EdgeDistribution.from_node_multiplicities(
-            _parse_multiplicities(args.var_mult),
-            _parse_multiplicities(args.check_mult))
-    elif args.input:
+    elif args.input is not None:
         g = _load_graph(args.input)
         dist = EdgeDistribution.from_degree_distribution(g.degree_distribution())
         if n is None:
             n = g.n
     else:
-        raise GraphValidationError(
-            "need an alist input, --regular DV DC, or --var-mult/--check-mult")
+        dist = EdgeDistribution.from_node_multiplicities(
+            _parse_multiplicities(args.var_mult),
+            _parse_multiplicities(args.check_mult))
     p_star = threshold(dist)
     lines = [f"p* {p_star:.10g}"]
     if n is not None:

@@ -18,10 +18,11 @@ chosen swaps are then applied and the length re-scanned, stopping at
 the first uncorrectable window; if there is one, the swaps are reversed
 and the round retried with fresh randomness.  After ``f_max``
 consecutive failed rounds at one length the optimizer stops.  Pivot
-pools are computed once per length: a refused round restores the graph
-exactly, so they stay valid across retries.  So are each window's
-swappable pivots and the union of the other windows' pools; a round
-adds only its own earlier targets.
+pools are computed once per length, each from one induced subgraph of
+its window's residual: a refused round restores the graph exactly, so
+they stay valid across retries.  So are each window's swappable pivots
+and the union of the other windows' pools; a round adds only its own
+earlier targets.
 
 Only column transpositions are ever applied.  The output graph is a
 column relabeling of the input, so sparsity, degree distribution, and
@@ -113,8 +114,9 @@ def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
                          policy: str = "one-hop") -> PivotSet:
     """Pivots available for displacing one uncorrectable window.
 
-    The window endpoints are always included.  Policy "one-hop" adds
-    their neighboring pivots; "full-closure" expands to the full
+    The window endpoints are always included.  Both policies read one
+    induced subgraph of the residual: "one-hop" adds the endpoints'
+    neighboring pivots; "full-closure" expands to the full
     neighboring-pivot fixed point seeded with both endpoints.
     """
     if policy not in POOL_POLICIES:
@@ -125,9 +127,9 @@ def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
         raise InternalInvariantError(
             f"burst ({burst.start}, {burst.length}) endpoints missing from its "
             f"residual stopping set; the scan or decoder is broken")
-    if policy == "full-closure":
-        return pivot_search(g, members, (first, last))
     sub = induced_subgraph(g, members)
+    if policy == "full-closure":
+        return pivot_search(sub, (first, last))
     pool = {first, last}
     pool |= neighboring_pivots(sub, first)
     pool |= neighboring_pivots(sub, last)

@@ -4,11 +4,13 @@ A stopping set is a variable-node set whose every adjacent check touches
 it at least twice; peeling stalls exactly on such sets.  A pivot is a
 member whose known value lets peeling recover the whole set.  Any
 pivot's partners across induced-degree-2 checks are pivots themselves;
-that closure is what `pivot_search` walks.  A stopping set of two or
-more members has no pivots or at least two: peeling it without a pivot
-v starts at a check holding exactly v and one other member u, and u is
-then a pivot too.  A single pivot occurs only for a singleton set {v},
-which is a stopping set exactly when v has no checks.
+that closure is what `pivot_search` walks, over the `InducedSubgraph`
+that its caller builds once per set with `induced_subgraph`.  A
+stopping set of two or more members has no pivots or at least two:
+peeling it without a pivot v starts at a check holding exactly v and
+one other member u, and u is then a pivot too.  A single pivot occurs
+only for a singleton set {v}, which is a stopping set exactly when v
+has no checks.
 
 Stopping sets are enumerated by a backtracking search over variable
 bitmasks: variables are decided from the highest index down, each
@@ -88,9 +90,6 @@ class InducedSubgraph:
                  var_checks: dict[int, tuple[int, ...]]) -> None:
         self.check_members = check_members
         self.var_checks = var_checks
-
-    def degree(self, check: int) -> int:
-        return len(self.check_members[check])
 
 
 def _validate_members(g: TannerGraph, members: Iterable[int]) -> frozenset[int]:
@@ -196,6 +195,8 @@ def neighboring_pivots(sub: InducedSubgraph, v: int) -> frozenset[int]:
     Every returned node is itself a pivot: the shared check recovers it
     first, then ``v``'s pivot property clears the rest.
     """
+    if v not in sub.var_checks:
+        raise ValueError(f"{v} is not a member of the stopping set")
     out = set()
     for c in sub.var_checks[v]:
         members = sub.check_members[c]
@@ -204,21 +205,18 @@ def neighboring_pivots(sub: InducedSubgraph, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def pivot_search(g: TannerGraph, s: StoppingSet | Iterable[int],
-                 seed: Iterable[int]) -> PivotSet:
-    """Expand a known pivot set to its neighboring-pivot fixed point.
+def pivot_search(sub: InducedSubgraph, seed: Iterable[int]) -> PivotSet:
+    """Expand a known pivot set to its neighboring-pivot fixed point in ``sub``.
 
-    Every seed member must already be a pivot of ``s``.  The result may
-    still miss pivots that no induced-degree-2 check chain reaches from
-    the seed.
+    Every seed member must already be a pivot of ``sub``'s stopping set.
+    The result may still miss pivots that no induced-degree-2 check chain
+    reaches from the seed.
     """
-    members = _validate_members(g, s)
     seed_set = frozenset(seed)
     if not seed_set:
         raise ValueError("seed pivot set is empty")
-    if not seed_set <= members:
+    if not seed_set.issubset(sub.var_checks):
         raise ValueError("seed contains non-members of the stopping set")
-    sub = induced_subgraph(g, members)
     found = set(seed_set)
     frontier = set(found)
     while frontier:

@@ -259,34 +259,25 @@ def parse_alist(text: str) -> TannerGraph:
         raise GraphValidationError(
             f"alist line 2: expected the maximum column and row degrees, at least "
             f"{max(col_deg)} {max(row_deg)}, got {lines[1].strip()!r}")
-    degrees = col_deg + row_deg
-    try:
-        entries = [[x - 1 for x in map(int, line.split()) if x] for line in lines[4:]]
-    except ValueError:
-        entries = None
-    if entries is None or list(map(len, entries)) != degrees:
-        _raise_entry_error(lines, n, degrees)
+    # Entry lines are checked in file order: a count mismatch on a line wins
+    # over a bad token on any later line.
+    entries: list[list[int]] = []
+    for i, (line, degree) in enumerate(zip(lines[4:], col_deg + row_deg)):
+        try:
+            nodes = [x - 1 for x in map(int, line.split()) if x]
+        except ValueError as exc:
+            raise GraphValidationError(f"alist line {5 + i}: {exc}") from None
+        if len(nodes) != degree:
+            if i < n:
+                raise GraphValidationError(
+                    f"alist: column {i} lists {len(nodes)} checks, declared {degree}", column=i)
+            raise GraphValidationError(
+                f"alist: row {i - n} lists {len(nodes)} variables, declared {degree}", row=i - n)
+        entries.append(nodes)
     g = TannerGraph.from_rows(entries[n:], n)
     if g.var_adj != [sorted(col) for col in entries[:n]]:
         raise GraphValidationError("alist: column lists inconsistent with row lists")
     return g
-
-
-def _raise_entry_error(lines: list[str], n: int, degrees: list[int]) -> NoReturn:
-    """Raise the first error of the entry lines, read one at a time in file
-    order: a token that is not an integer, or a count of nonzero entries
-    other than the declared degree.  A count mismatch on a line thus wins
-    over a bad token on any later line."""
-    for i, degree in enumerate(degrees):
-        count = sum(1 for x in _ints(lines, 4 + i) if x)
-        if count == degree:
-            continue
-        if i < n:
-            raise GraphValidationError(
-                f"alist: column {i} lists {count} checks, declared {degree}", column=i)
-        raise GraphValidationError(
-            f"alist: row {i - n} lists {count} variables, declared {degree}", row=i - n)
-    raise InternalInvariantError("alist: entry lines failed a check but have no error")
 
 
 def read_alist(path: str | Path) -> TannerGraph:

@@ -128,11 +128,12 @@ def test_criterion_2_pivot_structure_suite(corpus):
                 assert not oracle, (g, s)
             for v in oracle:
                 pivots_checked += 1
-                assert any(sub.degree(c) == 2 for c in sub.var_checks[v]), (g, s, v)
+                assert any(len(sub.check_members[c]) == 2
+                           for c in sub.var_checks[v]), (g, s, v)
                 assert b.neighboring_pivots(sub, v) <= oracle, (g, s, v)
-                found = b.pivot_search(g, s, [v]).pivots
+                found = b.pivot_search(sub, [v]).pivots
                 assert found <= oracle, (g, s, v)
-                assert b.pivot_search(g, s, found).pivots == found, (g, s, v)
+                assert b.pivot_search(sub, found).pivots == found, (g, s, v)
     print(f"PASS  criterion 2  [stopping sets={sets_checked} "
           f"pivots={pivots_checked}, zero violations]")
 

@@ -236,6 +236,32 @@ def test_threshold_needs_a_source(capsys):
     assert "--regular" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fixtures:cycle4", "--regular", "3", "6"), "got an alist input and --regular"),
+    (("fixtures:cycle4", "--var-mult", "3:64", "--check-mult", "6:32"),
+     "got an alist input and --var-mult/--check-mult"),
+    (("--regular", "3", "6", "--var-mult", "3:64", "--check-mult", "6:32"),
+     "got --regular and --var-mult/--check-mult"),
+    (("--regular", "3", "6", "--var-mult", "", "--check-mult", ""),
+     "got --regular and --var-mult/--check-mult"),
+    (("--regular", "3", "6", "--var-mult", "2:1"), "go together"),
+    (("--check-mult", "6:32"), "go together"),
+])
+def test_threshold_needs_exactly_one_source(capsys, argv, message):
+    code, out, err = run(capsys, "threshold", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_threshold_rejects_a_repeated_degree(capsys):
+    code, out, err = run(capsys, "threshold", "--var-mult", "3:2,3:4",
+                         "--check-mult", "6:2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: degree 3 is listed twice in multiplicities '3:2,3:4'\n"
+
+
 def test_pss_end_to_end(tmp_path, capsys):
     src = tmp_path / "in.alist"
     run(capsys, "gen", "--n", "64", "--m", "32", "--dv", "3", "--dc", "6",

@@ -91,13 +91,13 @@ def test_induced_subgraph_identity_on_cycle():
     sub = induced_subgraph(g, {0, 1, 2})
     assert set(sub.var_checks) == {0, 1, 2}
     assert set(sub.check_members) == {0, 1, 2}
-    assert all(sub.degree(c) == 2 for c in sub.check_members)
+    assert all(len(sub.check_members[c]) == 2 for c in sub.check_members)
 
 
 def test_induced_subgraph_chainD_degrees():
     g = fixtures()["chainD"]
     sub = induced_subgraph(g, {0, 1, 2, 3})
-    assert sorted(sub.degree(c) for c in sub.check_members) == [2, 2, 3]
+    assert sorted(len(sub.check_members[c]) for c in sub.check_members) == [2, 2, 3]
 
 
 def test_induced_subgraph_rejects_non_stopping_set():
@@ -156,22 +156,28 @@ def test_neighboring_pivots_cycle4():
     assert neighboring_pivots(sub, 0) == {1, 3}
 
 
+def test_neighboring_pivots_rejects_non_member():
+    sub = induced_subgraph(fixtures()["cycle4"], range(4))
+    with pytest.raises(ValueError, match="not a member"):
+        neighboring_pivots(sub, 9)
+
+
 def test_pivot_search_cycle4():
     g = fixtures()["cycle4"]
-    assert pivot_search(g, range(4), [0]).pivots == {0, 1, 2, 3}
+    assert pivot_search(induced_subgraph(g, range(4)), [0]).pivots == {0, 1, 2, 3}
 
 
 def test_pivot_search_chainD():
     g = fixtures()["chainD"]
-    assert pivot_search(g, {0, 1, 2, 3}, [0]).pivots == {0, 1, 2}
+    assert pivot_search(induced_subgraph(g, {0, 1, 2, 3}), [0]).pivots == {0, 1, 2}
 
 
 def test_pivot_search_validates_seed():
-    g = fixtures()["cycle4"]
+    sub = induced_subgraph(fixtures()["cycle4"], range(4))
     with pytest.raises(ValueError):
-        pivot_search(g, range(4), [])
+        pivot_search(sub, [])
     with pytest.raises(ValueError):
-        pivot_search(g, range(4), [9])
+        pivot_search(sub, [9])
 
 
 def test_pivot_search_can_miss_pivots():
@@ -183,7 +189,7 @@ def test_pivot_search_can_miss_pivots():
     assert is_stopping_set(g, members)
     oracle = all_pivots_oracle(g, members)
     assert oracle.pivots == {1, 2, 3, 4, 6}
-    found = pivot_search(g, members, [1])
+    found = pivot_search(induced_subgraph(g, members), [1])
     assert found.pivots == {1, 6}
     assert found.pivots < oracle.pivots
 
@@ -204,7 +210,7 @@ def test_pivot_structure_on_random_graphs(rng):
             decoder = PeelingDecoder(g)
             for v in oracle.pivots:
                 # Each pivot touches an induced-degree-2 check.
-                assert any(sub.degree(c) == 2 for c in sub.var_checks[v])
+                assert any(len(sub.check_members[c]) == 2 for c in sub.var_checks[v])
                 # Its neighbors across those checks are pivots too.
                 assert neighboring_pivots(sub, v) <= oracle.pivots
                 # Removing a pivot leaves nothing for peeling to stall
@@ -212,9 +218,9 @@ def test_pivot_structure_on_random_graphs(rng):
                 reduced = set(s.members) - {v}
                 assert decoder.peel(reduced).success
                 assert not any(set(t.members) <= reduced for t in all_sets)
-                found = pivot_search(g, s, [v])
+                found = pivot_search(sub, [v])
                 assert found.pivots <= oracle.pivots
                 assert len(found) >= 2
                 # The search output is its own fixed point.
-                assert pivot_search(g, s, found.pivots).pivots == found.pivots
+                assert pivot_search(sub, found.pivots).pivots == found.pivots
     assert seen_sets > 20
