@@ -5,10 +5,11 @@ Windows never wrap: a burst of length L can start at positions
 
 All windows of one length are peeled together.  Each variable carries an
 integer bitmask over window starts, bit j set while it is erased in
-window j, and one worklist over the checks recovers, in every window at
-once, the variables that are a check's only erased neighbor.  The order
-in which checks are visited does not matter: a failed peel always
-leaves the union of the stopping sets inside its window.
+window j.  One list of checks, walked in order while checks next to a
+recovered variable join its end, recovers in every window at once the
+variables that are a check's only erased neighbor.  The order in which
+checks are visited does not matter: a failed peel always leaves the
+union of the stopping sets inside its window.
 
 A block of windows touches only the positions its windows cover, so
 the kernel evaluates each check over a clipped row: the check's members
@@ -128,37 +129,35 @@ def _peel_windows(g: TannerGraph, length: int, lo: int, hi: int) -> list[int]:
         row = check_adj[c]
         rows[c] = row[bisect_left(row, lo):bisect_left(row, top)]
 
-    while queue:
-        later: list[int] = []
-        for c in queue:
-            queued[c] = 0
-            row = rows[c]
-            one = two = 0
-            for v in row:
-                e = erased[v]
-                two |= one & e
-                one |= e
-            # Windows where c has exactly one erased neighbor; each such
-            # window recovers one variable, so stop once all are covered.
-            left = one & ~two
-            if not left:
-                continue
-            for v in row:
-                e = erased[v]
-                recovered = e & left
-                if recovered:
-                    erased[v] = e = e ^ recovered
-                    for c2 in var_adj[v]:
-                        if c2 != c:
-                            if not e:
-                                rows[c2].remove(v)
-                            if not queued[c2]:
-                                queued[c2] = 1
-                                later.append(c2)
-                    left ^= recovered
-                    if not left:
-                        break
-        queue = later
+    # The loop reaches an appended check after every check queued before it.
+    for c in queue:
+        queued[c] = 0
+        row = rows[c]
+        one = two = 0
+        for v in row:
+            e = erased[v]
+            two |= one & e
+            one |= e
+        # Windows where c has exactly one erased neighbor; each such
+        # window recovers one variable, so stop once all are covered.
+        left = one & ~two
+        if not left:
+            continue
+        for v in row:
+            e = erased[v]
+            recovered = e & left
+            if recovered:
+                erased[v] = e = e ^ recovered
+                for c2 in var_adj[v]:
+                    if c2 != c:
+                        if not e:
+                            rows[c2].remove(v)
+                        if not queued[c2]:
+                            queued[c2] = 1
+                            queue.append(c2)
+                left ^= recovered
+                if not left:
+                    break
     return erased
 
 

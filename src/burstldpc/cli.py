@@ -26,6 +26,8 @@ from .threshold import EdgeDistribution, lmax_target, threshold
 
 
 def _load_graph(token: str) -> TannerGraph:
+    if not token:
+        raise GraphValidationError("graph path is empty")
     if token.startswith("fixtures:"):
         name = token.split(":", 1)[1]
         table = fixtures()

@@ -5,10 +5,10 @@ this repeats until no such check remains.  On failure the surviving
 erased set is exactly the union of all stopping sets contained in the
 input pattern.  Only erasure support is tracked, never bit values.
 
-All decode state lives in the call: the erased set, an erased-neighbor
-count for each check the pattern touches, and one work list of checks
-whose count has reached 1.  Each call costs O(edges incident to the
-pattern) rather than O(n).
+A decoder holds only its graph.  All decode state lives in the call:
+the erased set, an erased-neighbor count for each check the pattern
+touches, and one work list of checks whose count has reached 1.  Each
+call costs O(edges incident to the pattern) rather than O(n).
 
 It serves the pivot oracles, which peel one arbitrary pattern at a time.
 Burst windows go through `burst.scan_length` instead, which peels every
@@ -25,37 +25,34 @@ from .tanner import TannerGraph
 
 @dataclass(frozen=True)
 class DecodeOutcome:
-    """Result of one peeling run; ``residual`` is empty iff ``success``."""
+    """Result of one peeling run: the variables that stay erased."""
 
-    success: bool
     residual: frozenset[int]
+
+    @property
+    def success(self) -> bool:
+        return not self.residual
 
 
 class PeelingDecoder:
-    """Work-list peeling decoder over one graph.
+    """Work-list peeling decoder over one graph."""
 
-    ``calls`` counts decode invocations monotonically.
-    """
-
-    __slots__ = ("graph", "calls")
+    __slots__ = ("graph",)
 
     def __init__(self, graph: TannerGraph) -> None:
         self.graph = graph
-        self.calls = 0
 
     def peel(self, pattern: Iterable[int]) -> DecodeOutcome:
         """Decode an arbitrary erasure pattern (duplicates collapse)."""
         erased = set(pattern)
         n = self.graph.n
-        for v in erased:
-            if not 0 <= v < n:
-                raise ValueError(f"erased index {v} out of range (n={n})")
         var_adj = self.graph.var_adj
         check_adj = self.graph.check_adj
-        self.calls += 1
 
         count: dict[int, int] = {}
         for v in erased:
+            if not 0 <= v < n:
+                raise ValueError(f"erased index {v} out of range (n={n})")
             for c in var_adj[v]:
                 count[c] = count.get(c, 0) + 1
         # Counts only fall, so a check reaches 1 and joins the work list at
@@ -73,4 +70,4 @@ class PeelingDecoder:
                 count[c2] -= 1
                 if count[c2] == 1:
                     work.append(c2)
-        return DecodeOutcome(not erased, frozenset(erased))
+        return DecodeOutcome(frozenset(erased))

@@ -158,6 +158,4 @@ def lmax_target(dist: EdgeDistribution, n: int) -> int:
     """floor(p* * n): the permutation-achievable burst-length estimate."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 0
     return math.floor(threshold(dist) * n)

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import burstldpc
-from burstldpc import (fixtures, format_alist, parse_alist, parse_permutation,
-                       read_alist)
+from burstldpc import (PssConfig, fixtures, format_alist, parse_alist,
+                       parse_permutation, pss_optimize, read_alist, read_permutation)
 from burstldpc.cli import main
 from conftest import brute_four_cycle_pairs
 
@@ -60,6 +60,44 @@ def test_lmax_names_the_line_of_a_bad_entry_token(tmp_path, capsys):
     assert err == "error: alist line 10: invalid literal for int() with base 10: 'x3'\n"
 
 
+@pytest.mark.parametrize("argv", [("lmax", ""), ("scan", "", "--length", "2"),
+                                  ("threshold", "")])
+def test_empty_graph_path_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: graph path is empty\n"
+
+
+# chainD has n=4, m=3: line 3 lists four column degrees, line 4 three row
+# degrees, and 11 lines in all.
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3], "alist: fewer than 4 header lines"),
+    (lambda lines: ["4 3 1"] + lines[1:], "alist: first line must be 'n m'"),
+    (lambda lines: ["4"] + lines[1:], "alist: first line must be 'n m'"),
+    (lambda lines: ["4 x"] + lines[1:], "alist line 1: invalid literal for int()"),
+    (lambda lines: lines[:-1], "alist: expected 11 lines for n=4 m=3, got 10"),
+    (lambda lines: lines + ["1 2"], "alist: expected 11 lines for n=4 m=3, got 12"),
+    (lambda lines: lines[:2] + ["2 2 2"] + lines[3:],
+     "alist: column-degree line has wrong length"),
+    (lambda lines: lines[:3] + ["2 2 3 1"] + lines[4:],
+     "alist: row-degree line has wrong length"),
+])
+def test_lmax_rejects_malformed_alist(tmp_path, capsys, edit, message):
+    path = tmp_path / "bad.alist"
+    path.write_text("\n".join(edit(format_alist(fixtures()["chainD"]).splitlines())) + "\n")
+    code, out, err = run(capsys, "lmax", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_lmax_ignores_trailing_blank_lines(tmp_path, capsys):
+    path = tmp_path / "padded.alist"
+    path.write_text(format_alist(fixtures()["chainD"]) + "\n \n\n")
+    assert run(capsys, "lmax", str(path)) == run(capsys, "lmax", "fixtures:chainD")
+
+
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 
@@ -89,6 +127,13 @@ def test_gen_reports_four_cycles_left(capsys, seed, left):
     code, _, err = run(capsys, *argv, "--girth-floor", "4")
     assert code == 0
     assert "4-cycles" not in err
+
+
+def test_gen_rejects_empty_dimensions(capsys):
+    code, out, err = run(capsys, "gen", "--n", "0", "--m", "0", "--dv", "3", "--dc", "6")
+    assert code == 1
+    assert out == ""
+    assert err == "error: n, m and degrees must be positive\n"
 
 
 def test_gen_infeasible(capsys):
@@ -223,6 +268,18 @@ def test_threshold_rejects_negative_counts(capsys):
     assert err.startswith("error: ") and "negative node count" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--var-mult", "3", "--check-mult", "6:1"),
+     "bad multiplicity entry '3'; expected DEGREE:COUNT"),
+    (("--var-mult=-3:2", "--check-mult=-6:1"), "lam has invalid degree or negative fraction"),
+])
+def test_threshold_rejects_bad_multiplicities(capsys, argv, message):
+    code, out, err = run(capsys, "threshold", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_threshold_has_no_tolerance_option(capsys):
     code, out, err = run(capsys, "threshold", "--regular", "3", "6", "--tol", "1e-9")
     assert code == 1
@@ -291,6 +348,27 @@ def test_pss_end_to_end(tmp_path, capsys):
     assert all(len(line.split(",")) == 6 for line in report[1:])
     assert all(line.split(",")[5].isdigit() for line in report[1:])
     assert "->" in err
+
+
+def test_pss_perm_file_is_the_returned_permutation(tmp_path, capsys):
+    src = tmp_path / "in.alist"
+    run(capsys, "gen", "--n", "48", "--m", "24", "--dv", "3", "--dc", "6",
+        "--seed", "2", "--out", str(src))
+    perm_path = tmp_path / "p.txt"
+    code, _, _ = run(capsys, "pss", str(src), "--seed", "9", "--fmax", "12",
+                     "--perm", str(perm_path))
+    assert code == 0
+    result = pss_optimize(read_alist(src), PssConfig(rng_seed=9, f_max=12))
+    assert result.permutation.mapping != tuple(range(48))
+    assert read_permutation(perm_path) == result.permutation
+
+
+def test_pss_summary_without_failing_lengths(capsys):
+    # Every length of pinned3 peels, so no row has a failure to show.
+    code, out, err = run(capsys, "pss", "fixtures:pinned3")
+    assert code == 0
+    assert out == "original_lmax 3\nfinal_lmax 3\n"
+    assert err.splitlines()[-1] == "(no uncorrectable lengths encountered)"
 
 
 def test_pss_byte_identical_reruns(tmp_path, capsys):

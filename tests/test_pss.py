@@ -228,11 +228,13 @@ def test_max_length_stops_early(code128):
 
 
 def test_systematic_restriction_confines_swaps(code128):
-    allowed = frozenset(range(0, 64))
+    # Not a range, so only the library takes it.  On columns 0..63 every
+    # round aborts and nothing moves; on the even columns swaps are made.
+    allowed = frozenset(range(0, code128.n, 2))
     cfg = PssConfig(rng_seed=6, restrict_to_systematic=allowed, f_max=24)
     result = pss_optimize(code128, cfg)
     moved = {i for i, image in enumerate(result.permutation.mapping) if image != i}
-    assert moved <= allowed
+    assert moved and moved <= allowed
     assert result.report.final_lmax >= result.report.original_lmax
 
 

@@ -308,6 +308,17 @@ def test_permutation_file_rejects_bad_count():
         parse_permutation("3\n0 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3\n", "expected 2 lines"),
+    ("3\n0 1 2\n3\n", "expected 2 lines"),
+    ("3\n0 x 2\n", "permutation file: invalid literal for int"),
+    ("three\n0 1 2\n", "permutation file: invalid literal for int"),
+])
+def test_permutation_file_rejects_bad_text(text, message):
+    with pytest.raises(GraphValidationError, match=message):
+        parse_permutation(text)
+
+
 def test_graphs_share_nothing_after_copy():
     g = TannerGraph.from_rows([[0, 1], [1, 2]], 3)
     h = g.copy()

@@ -137,6 +137,11 @@ def test_lmax_target_zero_n(reg36):
     assert lmax_target(reg36, 0) == 0
     with pytest.raises(ValueError):
         lmax_target(reg36, -1)
+    # n = 0 still checks the distribution.
+    degree_one = EdgeDistribution(((1, 0.5), (3, 0.5)), ((6, 1.0),))
+    for n in (0, 5):
+        with pytest.raises(ValueError, match="degree-1"):
+            lmax_target(degree_one, n)
 
 
 def test_distribution_from_graph_matches_regular():
@@ -148,6 +153,13 @@ def test_distribution_from_graph_matches_regular():
 def test_distribution_validation():
     with pytest.raises(ValueError):
         EdgeDistribution(((3, 0.5),), ((6, 1.0),))  # lam does not sum to 1
+    for lam, rho, message in (
+            ((), ((6, 1.0),), "lam is empty"),
+            (((3, 1.0),), (), "rho is empty"),
+            (((0, 1.0),), ((6, 1.0),), "lam has invalid degree"),
+            (((3, 1.0),), ((6, 1.5), (4, -0.5)), "rho has invalid degree or negative fraction")):
+        with pytest.raises(ValueError, match=message):
+            EdgeDistribution(lam, rho)
     with pytest.raises(ValueError):
         EdgeDistribution.from_node_multiplicities({3: 4}, {6: 3})  # 12 != 18
     with pytest.raises(ValueError):
