@@ -1,9 +1,10 @@
 """Iterative peeling decoder for arbitrary erasure patterns.
 
 A check node with exactly one erased neighbor recovers that neighbor;
-this repeats until no such check remains.  On failure the surviving
-erased set is exactly the union of all stopping sets contained in the
-input pattern.  Only erasure support is tracked, never bit values.
+this repeats until no such check remains.  `peel` returns the surviving
+erased set, the union of all stopping sets contained in the pattern, as
+a frozenset that is empty on success: the type `burst.scan_length`
+reports for each failing window.  Only erasure support is tracked.
 
 A decoder holds only its graph.  All decode state lives in the call:
 the erased set, an erased-neighbor count for each check the pattern
@@ -17,21 +18,9 @@ window of one length together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .tanner import TannerGraph
-
-
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """Result of one peeling run: the variables that stay erased."""
-
-    residual: frozenset[int]
-
-    @property
-    def success(self) -> bool:
-        return not self.residual
 
 
 class PeelingDecoder:
@@ -42,8 +31,9 @@ class PeelingDecoder:
     def __init__(self, graph: TannerGraph) -> None:
         self.graph = graph
 
-    def peel(self, pattern: Iterable[int]) -> DecodeOutcome:
-        """Decode an arbitrary erasure pattern (duplicates collapse)."""
+    def peel(self, pattern: Iterable[int]) -> frozenset[int]:
+        """Variables left erased after peeling ``pattern`` (duplicates
+        collapse); empty on success."""
         erased = set(pattern)
         n = self.graph.n
         var_adj = self.graph.var_adj
@@ -70,4 +60,4 @@ class PeelingDecoder:
                 count[c2] -= 1
                 if count[c2] == 1:
                     work.append(c2)
-        return DecodeOutcome(frozenset(erased))
+        return frozenset(erased)

@@ -52,7 +52,8 @@ class PssConfig:
 
     ``f_max`` defaults to n at run time.  ``restrict_to_systematic``
     limits both the swapped pivot and the target column to the given
-    index set, 0 .. n-1 (empty/None means all columns).  The columns
+    index set, 0 .. n-1; None means all columns, and an empty set is
+    refused rather than read as no restriction.  The columns
     outside it are barred once per run: they are no window's pivots and
     every window's excluded targets.
     """
@@ -71,8 +72,10 @@ class PssConfig:
         if self.pivot_pool_policy not in POOL_POLICIES:
             raise ValueError(f"pivot_pool_policy must be one of {POOL_POLICIES}")
         if self.restrict_to_systematic is not None:
-            object.__setattr__(self, "restrict_to_systematic",
-                               frozenset(self.restrict_to_systematic))
+            allowed = frozenset(self.restrict_to_systematic)
+            if not allowed:
+                raise ValueError("restrict_to_systematic is empty; use None for all columns")
+            object.__setattr__(self, "restrict_to_systematic", allowed)
 
 
 @dataclass(frozen=True)

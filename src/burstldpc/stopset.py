@@ -186,7 +186,7 @@ def all_pivots_oracle(g: TannerGraph, s: StoppingSet | Iterable[int]) -> PivotSe
     members = _validate_members(g, s)
     decoder = PeelingDecoder(g)
     return PivotSet(frozenset(
-        v for v in members if decoder.peel(members - {v}).success))
+        v for v in members if not decoder.peel(members - {v})))
 
 
 def neighboring_pivots(sub: InducedSubgraph, v: int) -> frozenset[int]:

@@ -64,18 +64,6 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Degree multiplicities, node perspective: (degree, node count) pairs."""
-
-    variable: tuple[tuple[int, int], ...]
-    check: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_counts(cls, variable: dict[int, int], check: dict[int, int]) -> "DegreeDistribution":
-        return cls(tuple(sorted(variable.items())), tuple(sorted(check.items())))
-
-
 class TannerGraph:
     """Bipartite graph of ``n`` variable (column) and ``m`` check (row) nodes."""
 
@@ -130,10 +118,10 @@ class TannerGraph:
     def check_degrees(self) -> list[int]:
         return [len(row) for row in self.check_adj]
 
-    def degree_distribution(self) -> DegreeDistribution:
-        return DegreeDistribution.from_counts(
-            dict(Counter(self.variable_degrees())),
-            dict(Counter(self.check_degrees())))
+    def degree_distribution(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Node count per degree: (variable side, check side)."""
+        return (dict(Counter(self.variable_degrees())),
+                dict(Counter(self.check_degrees())))
 
     def apply_permutation(self, p: Permutation) -> "TannerGraph":
         """Relabeled copy: output column p(j) carries input column j's support."""

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .tanner import DegreeDistribution
-
 GRID_POINTS = 1024
 _BRACKET = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,11 +45,15 @@ class EdgeDistribution:
     rho: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        for name, side in (("lam", self.lam), ("rho", self.rho)):
+        for name, nodes, side in (("lam", "variable", self.lam),
+                                  ("rho", "check", self.rho)):
             if not side:
                 raise ValueError(f"{name} is empty")
-            if any(deg < 1 or frac < 0 for deg, frac in side):
-                raise ValueError(f"{name} has invalid degree or negative fraction")
+            for deg, frac in side:
+                if deg < 1:
+                    raise ValueError(f"{nodes} degree {deg} is below 1")
+                if frac < 0:
+                    raise ValueError(f"{name} has negative fraction {frac}")
             total = math.fsum(frac for _, frac in side)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"{name} fractions sum to {total}, not 1")
@@ -79,8 +81,9 @@ class EdgeDistribution:
         return cls(((var_degree, 1.0),), ((check_degree, 1.0),))
 
     @classmethod
-    def from_degree_distribution(cls, dd: DegreeDistribution) -> "EdgeDistribution":
-        return cls.from_node_multiplicities(dict(dd.variable), dict(dd.check))
+    def from_degree_distribution(cls, dd: tuple[dict, dict]) -> "EdgeDistribution":
+        """From ``TannerGraph.degree_distribution()``: (variable, check) counts."""
+        return cls.from_node_multiplicities(*dd)
 
     def lam_at(self, x: float) -> float:
         return _polynomial_at(self.lam, x)

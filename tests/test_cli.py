@@ -217,19 +217,34 @@ def test_stopsets_rows_are_written_as_found(capsys, monkeypatch):
     assert out == "members\tspan\tpivots\tpivot_span\n0 1 2\t3\t0 1 2\t3\n3 4 5\t3\t3 4 5\t3\n"
 
 
-def test_stopsets_runs_without_numpy():
-    # The library declares no runtime dependency: block numpy outright.
+def test_every_subcommand_runs_without_numpy(tmp_path, capsys):
+    # The library declares no runtime dependency: block numpy outright, run
+    # every subcommand in one process, and compare its stdout with the same
+    # commands run here.
+    code = str(tmp_path / "g.alist")
+    gen = ["gen", "--n", "48", "--m", "24", "--dv", "3", "--dc", "6", "--seed", "1"]
+    commands = [["lmax", code], ["scan", code, "--length", "16"],
+                ["threshold", code], ["pss", code, "--fmax", "3"],
+                ["stopsets", "fixtures:chainD"]]
     script = ("import sys\n"
               "sys.modules['numpy'] = None\n"
               "from burstldpc import cli\n"
-              "sys.exit(cli.main(['stopsets', 'fixtures:chainD']))\n")
+              f"for argv in {[gen + ['--out', code]] + commands!r}:\n"
+              "    print('==', argv[0], flush=True)\n"
+              "    if cli.main(argv):\n"
+              "        sys.exit(f'{argv[0]} failed')\n")
     src = str(Path(burstldpc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[1:] == ["0 1 2\t3\t0 1 2\t3", "0 1 2 3\t4\t0 1 2\t3"]
+    sections = proc.stdout.split("== ")[1:]
+    assert sections[0] == "gen\n"
+    assert run(capsys, *gen)[1] == Path(code).read_text()
+    for argv, section in zip(commands, sections[1:], strict=True):
+        assert section == f"{argv[0]}\n" + run(capsys, *argv)[1]
+    assert sections[-1].splitlines()[2:] == ["0 1 2\t3\t0 1 2\t3", "0 1 2 3\t4\t0 1 2\t3"]
 
 
 def test_threshold_regular(capsys):
@@ -271,7 +286,9 @@ def test_threshold_rejects_negative_counts(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("--var-mult", "3", "--check-mult", "6:1"),
      "bad multiplicity entry '3'; expected DEGREE:COUNT"),
-    (("--var-mult=-3:2", "--check-mult=-6:1"), "lam has invalid degree or negative fraction"),
+    (("--var-mult=-3:2", "--check-mult=-6:1"), "variable degree -3 is below 1"),
+    (("--regular", "0", "6"), "variable degree 0 is below 1"),
+    (("--regular", "3", "0"), "check degree 0 is below 1"),
 ])
 def test_threshold_rejects_bad_multiplicities(capsys, argv, message):
     code, out, err = run(capsys, "threshold", *argv)

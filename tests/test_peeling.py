@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstldpc import (Burst, DecodeOutcome, PeelingDecoder, Permutation, TannerGraph,
-                       fixtures)
+from burstldpc import Burst, PeelingDecoder, Permutation, TannerGraph, fixtures
 from conftest import brute_stopping_sets, graphs, patterns, random_graph, sweep_peel
 
 
@@ -16,19 +15,19 @@ def cycle3():
 
 def test_whole_cycle_is_stuck(cycle3):
     out = PeelingDecoder(cycle3).peel({0, 1, 2})
-    assert not out.success
-    assert out.residual == {0, 1, 2}
+    assert out
+    assert out == {0, 1, 2}
 
 
 def test_partial_cycle_peels(cycle3):
     out = PeelingDecoder(cycle3).peel({0, 1})
-    assert out.success
-    assert out.residual == frozenset()
+    assert not out
+    assert out == frozenset()
 
 
 def test_empty_pattern_succeeds(cycle3):
     out = PeelingDecoder(cycle3).peel(())
-    assert out.success and out.residual == frozenset()
+    assert not out and out == frozenset()
 
 
 def test_out_of_range_pattern(cycle3):
@@ -48,16 +47,16 @@ def test_chain4_full_and_partial():
     assert brute_stopping_sets(g) == [(0, 1, 2, 3)]
     dec = PeelingDecoder(g)
     out = dec.peel({0, 1, 2, 3})
-    assert not out.success and out.residual == {0, 1, 2, 3}
-    assert dec.peel({1, 2, 3}).success
+    assert out and out == {0, 1, 2, 3}
+    assert not dec.peel({1, 2, 3})
 
 
 def test_burst_on_cycle4():
     g = fixtures()["cycle4"]
     dec = PeelingDecoder(g)
-    assert dec.peel(range(0, 3)).success
+    assert not dec.peel(range(0, 3))
     out = dec.peel(range(0, 4))
-    assert not out.success and out.residual == {0, 1, 2, 3}
+    assert out and out == {0, 1, 2, 3}
 
 
 def test_single_erasure_always_peels(rng):
@@ -65,13 +64,13 @@ def test_single_erasure_always_peels(rng):
         g = random_graph(rng)
         dec = PeelingDecoder(g)
         for v in range(g.n):
-            assert dec.peel({v}).success
+            assert not dec.peel({v})
 
 
 def test_degree_zero_variable_never_peels():
     g = TannerGraph.from_rows([[0, 1]], 3)  # variable 2 has no checks
     out = PeelingDecoder(g).peel(range(2, 3))
-    assert not out.success and out.residual == {2}
+    assert out and out == {2}
 
 
 def test_burst_bounds():
@@ -96,8 +95,8 @@ def test_residual_is_union_of_contained_stopping_sets(rng):
                 if set(s) <= pattern:
                     expected |= set(s)
             out = dec.peel(pattern)
-            assert out.residual == expected
-            assert out.success == (not expected)
+            assert out == expected
+            assert bool(out) == bool(expected)
 
 
 def test_union_of_stopping_sets_is_stopping_set(rng):
@@ -120,9 +119,9 @@ def test_monotonicity(rng):
         small = frozenset(v for v in big if rng.random() < 0.6)
         out_big = dec.peel(big)
         out_small = dec.peel(small)
-        if out_big.success:
-            assert out_small.success
-        assert out_small.residual <= out_big.residual
+        if not out_big:
+            assert not out_small
+        assert out_small <= out_big
 
 
 def test_schedule_independence(rng):
@@ -130,7 +129,7 @@ def test_schedule_independence(rng):
         g = random_graph(rng, max_n=14)
         dec = PeelingDecoder(g)
         pattern = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
-        reference = dec.peel(pattern).residual
+        reference = dec.peel(pattern)
         for _ in range(4):
             order = list(range(g.m))
             rng.shuffle(order)
@@ -147,19 +146,19 @@ def test_permutation_equivalence(rng):
         pattern = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
         out_g = PeelingDecoder(g).peel(pattern)
         out_h = PeelingDecoder(h).peel(frozenset(map(p, pattern)))
-        assert out_g.success == out_h.success
-        assert out_h.residual == frozenset(map(p, out_g.residual))
+        assert bool(out_g) == bool(out_h)
+        assert out_h == frozenset(map(p, out_g))
 
 
 def test_scratch_state_resets_between_calls():
     g = fixtures()["cycle4"]
     dec = PeelingDecoder(g)
     first = dec.peel({0, 1, 2, 3})
-    assert not first.success
+    assert first
     # A failed decode must not poison the next call.
-    assert dec.peel({0, 1}).success
+    assert not dec.peel({0, 1})
     again = dec.peel({0, 1, 2, 3})
-    assert again.residual == first.residual
+    assert again == first
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,8 +167,8 @@ def test_peel_matches_sweep_decoder_property(data):
     g = data.draw(graphs())
     pattern = data.draw(patterns(g.n))
     out = PeelingDecoder(g).peel(pattern)
-    assert out.residual == sweep_peel(g, pattern)
-    assert out.success == (not out.residual)
+    assert out == sweep_peel(g, pattern)
+    assert isinstance(out, frozenset)
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,4 +179,4 @@ def test_relabeling_commutes_with_peel_property(data):
     pattern = data.draw(patterns(g.n))
     out_g = PeelingDecoder(g).peel(pattern)
     out_h = PeelingDecoder(g.apply_permutation(p)).peel(map(p, pattern))
-    assert out_h == DecodeOutcome(frozenset(map(p, out_g.residual)))
+    assert out_h == frozenset(map(p, out_g))

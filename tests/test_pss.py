@@ -289,6 +289,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="max_length"):
             PssConfig(max_length=bad)
     assert PssConfig(max_length=1).max_length == 1
+    # An empty restriction is refused, not read as "all columns".
+    with pytest.raises(ValueError, match="use None for all columns"):
+        PssConfig(restrict_to_systematic=frozenset())
+    assert PssConfig(restrict_to_systematic=[3]).restrict_to_systematic == {3}
 
 
 def test_pss_outputs_pinned_at_n512():

@@ -156,8 +156,8 @@ def test_distribution_validation():
     for lam, rho, message in (
             ((), ((6, 1.0),), "lam is empty"),
             (((3, 1.0),), (), "rho is empty"),
-            (((0, 1.0),), ((6, 1.0),), "lam has invalid degree"),
-            (((3, 1.0),), ((6, 1.5), (4, -0.5)), "rho has invalid degree or negative fraction")):
+            (((0, 1.0),), ((6, 1.0),), "variable degree 0 is below 1"),
+            (((3, 1.0),), ((6, 1.5), (4, -0.5)), "rho has negative fraction -0.5")):
         with pytest.raises(ValueError, match=message):
             EdgeDistribution(lam, rho)
     with pytest.raises(ValueError):
