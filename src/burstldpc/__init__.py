@@ -7,11 +7,12 @@ optimizer (`pss_optimize`), and erasure-channel density evolution
 (`threshold`).
 """
 
-from .burst import Burst, BurstScanResult, compute_lmax, scan_length
+from .burst import BurstScanResult, compute_lmax, scan_length
 from .codegen import GenSpec, fixtures, gen_regular
 from .peeling import PeelingDecoder
 from .pss import (PssConfig, PssReport, PssResult, PssRow, choose_swap_target,
-                  eligible_swap_targets, pivot_pool_for_burst, pss_optimize)
+                  eligible_swap_targets, format_report, pivot_pool_for_burst,
+                  pss_optimize)
 from .stopset import (ENUMERATION_LIMIT, InducedSubgraph, PivotSet, StoppingSet,
                       all_pivots_oracle, enumerate_stopping_sets, induced_subgraph,
                       is_stopping_set, min_stopping_set_span, neighboring_pivots,
@@ -25,14 +26,14 @@ from .threshold import EdgeDistribution, de_step, lmax_target, threshold
 __version__ = "0.1.0"
 
 __all__ = [
-    "BurstScanResult", "Burst", "EdgeDistribution", "ENUMERATION_LIMIT",
+    "BurstScanResult", "EdgeDistribution", "ENUMERATION_LIMIT",
     "GenSpec", "GraphValidationError", "InducedSubgraph",
     "InternalInvariantError", "PeelingDecoder", "Permutation", "PivotSet",
     "PssConfig", "PssReport", "PssResult", "PssRow", "StoppingSet",
     "TannerGraph", "all_pivots_oracle", "choose_swap_target", "compute_lmax",
     "de_step", "eligible_swap_targets", "enumerate_stopping_sets", "fixtures",
-    "format_alist", "format_permutation", "gen_regular", "induced_subgraph",
-    "is_stopping_set", "lmax_target", "min_stopping_set_span",
+    "format_alist", "format_permutation", "format_report", "gen_regular",
+    "induced_subgraph", "is_stopping_set", "lmax_target", "min_stopping_set_span",
     "neighboring_pivots", "parse_alist", "parse_permutation",
     "pivot_pool_for_burst", "pivot_search", "pss_optimize", "read_alist",
     "read_permutation", "scan_length", "threshold", "write_alist",

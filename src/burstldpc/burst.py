@@ -33,29 +33,6 @@ _FIRST_BLOCK = 8
 
 
 @dataclass(frozen=True)
-class Burst:
-    """Contiguous erasure window: ``length`` positions starting at ``start``."""
-
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"burst start {self.start} negative")
-        if self.length < 1:
-            raise ValueError(f"burst length {self.length} < 1")
-
-    @property
-    def stop(self) -> int:
-        """One past the last erased position."""
-        return self.start + self.length
-
-    @property
-    def last(self) -> int:
-        return self.start + self.length - 1
-
-
-@dataclass(frozen=True)
 class BurstScanResult:
     """Failures of one scan; ``residuals`` align with ``uncorrectable_starts``."""
 

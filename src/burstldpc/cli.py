@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .burst import compute_lmax, scan_length
 from .codegen import GenSpec, fixtures, four_cycle_count, gen_regular
-from .pss import PssConfig, pss_optimize
+from .pss import PssConfig, format_report, pss_optimize
 from .stopset import ENUMERATION_LIMIT, all_pivots_oracle, iter_stopping_sets
 from .tanner import (GraphValidationError, InternalInvariantError, TannerGraph,
                      format_alist, format_permutation, read_alist, write_alist,
@@ -180,11 +180,7 @@ def _cmd_pss(args: argparse.Namespace) -> int:
     if args.perm:
         write_permutation(result.permutation, args.perm)
     if args.report:
-        lines = ["L,N_B,F_act,decode_calls,accepted,aborted_rounds"]
-        lines += [f"{r.length},{r.n_b},{r.f_act},{r.decode_calls},"
-                  f"{str(r.accepted).lower()},{r.aborted_rounds}"
-                  for r in result.report.rows]
-        Path(args.report).write_text("\n".join(lines) + "\n")
+        Path(args.report).write_text(format_report(result.report))
     _emit(f"original_lmax {result.report.original_lmax}\n"
           f"final_lmax {result.report.final_lmax}\n", None)
     print(f"L_max {result.report.original_lmax} -> {result.report.final_lmax} "

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterable, NamedTuple
 
-from .burst import Burst, compute_lmax, scan_length
+from .burst import compute_lmax, scan_length
 from .stopset import PivotSet, induced_subgraph, neighboring_pivots, pivot_search
 from .tanner import InternalInvariantError, Permutation, TannerGraph
 
@@ -106,16 +106,25 @@ class PssReport:
     final_lmax: int
 
 
+def format_report(report: PssReport) -> str:
+    """The CSV that ``burstldpc pss --report`` writes, one row per length."""
+    lines = ["L,N_B,F_act,decode_calls,accepted,aborted_rounds"]
+    lines += [f"{r.length},{r.n_b},{r.f_act},{r.decode_calls},"
+              f"{str(r.accepted).lower()},{r.aborted_rounds}" for r in report.rows]
+    return "\n".join(lines) + "\n"
+
+
 class PssResult(NamedTuple):
     graph: TannerGraph
     permutation: Permutation
     report: PssReport
 
 
-def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
+def pivot_pool_for_burst(g: TannerGraph, burst: range,
                          residual: Iterable[int],
                          policy: str = "one-hop") -> PivotSet:
-    """Pivots available for displacing one uncorrectable window.
+    """Pivots available for displacing one uncorrectable window ``burst``,
+    ``range(start, start + length)``.
 
     The window endpoints are always included.  Both policies read one
     induced subgraph of the residual: "one-hop" adds the endpoints'
@@ -125,10 +134,10 @@ def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
     if policy not in POOL_POLICIES:
         raise ValueError(f"policy must be one of {POOL_POLICIES}")
     members = frozenset(residual)
-    first, last = burst.start, burst.last
+    first, last = burst[0], burst[-1]
     if first not in members or last not in members:
         raise InternalInvariantError(
-            f"burst ({burst.start}, {burst.length}) endpoints missing from its "
+            f"burst ({burst.start}, {len(burst)}) endpoints missing from its "
             f"residual stopping set; the scan or decoder is broken")
     sub = induced_subgraph(g, members)
     if policy == "full-closure":
@@ -139,30 +148,32 @@ def pivot_pool_for_burst(g: TannerGraph, burst: Burst,
     return PivotSet(frozenset(pool))
 
 
-def eligible_swap_targets(n: int, burst: Burst, pivot: int,
+def eligible_swap_targets(n: int, burst: range, pivot: int,
                           excluded: Collection[int]) -> list[int]:
     """Columns the chosen pivot may be swapped with, ascending.
 
-    Always outside the window and outside ``excluded`` (other windows'
-    pools, barred columns, targets already chosen this round; a set,
-    since every candidate is tested against it).  An endpoint pivot may
-    only move outward -- below the window for the first position, above
-    it for the last -- otherwise its displaced position could land close
-    enough to the window to leave the pivot span too small.
+    ``burst`` is the window, ``range(start, start + length)``.  Targets
+    are always outside it and outside ``excluded`` (other windows' pools,
+    barred columns, targets already chosen this round; a set, since every
+    candidate is tested against it).  An endpoint pivot may only move
+    outward -- below the window for the first position, above it for the
+    last -- otherwise its displaced position could land close enough to
+    the window to leave the pivot span too small.
     """
     below, above = range(0, burst.start), range(burst.stop, n)
     if pivot == burst.start:
         candidates: Iterable[int] = below
-    elif pivot == burst.last:
+    elif pivot == burst[-1]:
         candidates = above
     else:
         candidates = chain(below, above)
     return [j for j in candidates if j not in excluded]
 
 
-def choose_swap_target(rng: random.Random, n: int, burst: Burst, pivot: int,
+def choose_swap_target(rng: random.Random, n: int, burst: range, pivot: int,
                        excluded: Collection[int]) -> int | None:
-    """Uniform choice among eligible targets; None when none exists."""
+    """Uniform choice among the targets `eligible_swap_targets` gives for the
+    window ``burst``, ``range(start, start + length)``; None when none exists."""
     candidates = eligible_swap_targets(n, burst, pivot, excluded)
     if not candidates:
         return None
@@ -181,7 +192,7 @@ def _round_choices(pools: list[PivotSet], barred: frozenset[int]
     return pivots, others
 
 
-def _swap_round(rng: random.Random, n: int, bursts: list[Burst],
+def _swap_round(rng: random.Random, n: int, bursts: list[range],
                 pivots: list[list[int]], others: list[frozenset[int]]
                 ) -> list[tuple[int, int]] | None:
     """Choose one (pivot, target) swap per window, without applying any.
@@ -240,7 +251,7 @@ def pss_optimize(g: TannerGraph, cfg: PssConfig | None = None) -> PssResult:
         scan = scan_length(work, length, early_exit=False, collect_residuals=True)
         row_calls = scan.decode_calls
         accepted = scan.n_b == 0
-        bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
+        bursts = [range(j, j + length) for j in scan.uncorrectable_starts]
         pools = [pivot_pool_for_burst(work, b, r, policy=cfg.pivot_pool_policy)
                  for b, r in zip(bursts, scan.residuals)]
         pivots, others = _round_choices(pools, barred)

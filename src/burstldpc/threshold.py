@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 GRID_POINTS = 1024
@@ -31,15 +30,11 @@ _BRACKET = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _fractions_to_pairs(fracs: Mapping[int, Fraction]) -> tuple[tuple[int, float], ...]:
-    return tuple(sorted((deg, float(f)) for deg, f in fracs.items() if f))
-
-
 @dataclass(frozen=True)
 class EdgeDistribution:
     """Edge-perspective degree fractions: (degree, fraction) pairs, each side
-    summing to 1.  Built from node multiplicities with exact rational
-    arithmetic, converted to float once."""
+    summing to 1.  Built from node multiplicities, each fraction is one
+    correctly rounded integer division, degree times count over edges."""
 
     lam: tuple[tuple[int, float], ...]
     rho: tuple[tuple[int, float], ...]
@@ -61,9 +56,13 @@ class EdgeDistribution:
     @classmethod
     def from_node_multiplicities(cls, variable: Mapping[int, int],
                                  check: Mapping[int, int]) -> "EdgeDistribution":
-        """Degree-0 and count-0 entries are dropped; a negative count is an error."""
+        """Degree-0 and count-0 entries are dropped; a negative count or
+        degree is an error."""
         if any(c < 0 for side in (variable, check) for c in side.values()):
             raise ValueError("negative node count in the degree multiplicities")
+        for nodes, side in (("variable", variable), ("check", check)):
+            if min(side, default=0) < 0:
+                raise ValueError(f"{nodes} degree {min(side)} is below 1")
         var_edges = sum(d * c for d, c in variable.items())
         check_edges = sum(d * c for d, c in check.items())
         if var_edges != check_edges:
@@ -72,9 +71,9 @@ class EdgeDistribution:
                 f"{check_edges} from checks")
         if var_edges == 0:
             raise ValueError("distribution has no edges")
-        lam = {d: Fraction(d * c, var_edges) for d, c in variable.items() if c and d}
-        rho = {d: Fraction(d * c, check_edges) for d, c in check.items() if c and d}
-        return cls(_fractions_to_pairs(lam), _fractions_to_pairs(rho))
+        return cls(*(tuple(sorted((d, d * c / var_edges)
+                                  for d, c in side.items() if c and d))
+                     for side in (variable, check)))
 
     @classmethod
     def from_regular(cls, var_degree: int, check_degree: int) -> "EdgeDistribution":

@@ -289,6 +289,7 @@ def test_threshold_rejects_negative_counts(capsys):
     (("--var-mult=-3:2", "--check-mult=-6:1"), "variable degree -3 is below 1"),
     (("--regular", "0", "6"), "variable degree 0 is below 1"),
     (("--regular", "3", "0"), "check degree 0 is below 1"),
+    (("--var-mult=3:2", "--check-mult=-6:1"), "check degree -6 is below 1"),
 ])
 def test_threshold_rejects_bad_multiplicities(capsys, argv, message):
     code, out, err = run(capsys, "threshold", *argv)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstldpc import Burst, PeelingDecoder, Permutation, TannerGraph, fixtures
+from burstldpc import PeelingDecoder, Permutation, TannerGraph, fixtures
 from conftest import brute_stopping_sets, graphs, patterns, random_graph, sweep_peel
 
 
@@ -73,14 +73,10 @@ def test_degree_zero_variable_never_peels():
     assert out and out == {2}
 
 
-def test_burst_bounds():
+def test_peel_rejects_window_past_n():
     g = fixtures()["cycle4"]
     with pytest.raises(ValueError):
         PeelingDecoder(g).peel(range(2, 5))
-    with pytest.raises(ValueError):
-        Burst(0, 0)
-    with pytest.raises(ValueError):
-        Burst(-1, 2)
 
 
 def test_residual_is_union_of_contained_stopping_sets(rng):

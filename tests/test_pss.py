@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstldpc import (Burst, GenSpec, InternalInvariantError, PivotSet, PssConfig,
+from burstldpc import (GenSpec, InternalInvariantError, PivotSet, PssConfig,
                        TannerGraph, choose_swap_target, compute_lmax,
                        eligible_swap_targets, fixtures, format_permutation,
-                       gen_regular, pivot_pool_for_burst, pss_optimize, scan_length)
+                       format_report, gen_regular, pivot_pool_for_burst,
+                       pss_optimize, scan_length)
 from burstldpc.pss import _round_choices, _swap_round
 
 
@@ -21,7 +22,7 @@ def code128():
 
 def test_pool_cycle4_one_hop():
     g = fixtures()["cycle4"]
-    pool = pivot_pool_for_burst(g, Burst(0, 4), {0, 1, 2, 3})
+    pool = pivot_pool_for_burst(g, range(0, 4), {0, 1, 2, 3})
     assert pool.pivots == {0, 1, 2, 3}
 
 
@@ -35,10 +36,10 @@ def test_pool_contains_endpoints_and_closure_contains_one_hop(rng):
             continue
         scan = scan_length(g, length)
         for start, residual in zip(scan.uncorrectable_starts, scan.residuals):
-            burst = Burst(start, length)
+            burst = range(start, start + length)
             one_hop = pivot_pool_for_burst(g, burst, residual, "one-hop")
             closure = pivot_pool_for_burst(g, burst, residual, "full-closure")
-            assert {burst.start, burst.last} <= one_hop.pivots
+            assert {burst.start, burst[-1]} <= one_hop.pivots
             assert len(one_hop) >= 2
             assert one_hop.pivots <= closure.pivots
             checked += 1
@@ -48,39 +49,39 @@ def test_pool_contains_endpoints_and_closure_contains_one_hop(rng):
 def test_pool_detects_broken_residual():
     g = fixtures()["cycle4"]
     with pytest.raises(InternalInvariantError):
-        pivot_pool_for_burst(g, Burst(0, 4), {1, 2, 3})
+        pivot_pool_for_burst(g, range(0, 4), {1, 2, 3})
 
 
 def test_pool_rejects_unknown_policy():
     g = fixtures()["cycle4"]
     with pytest.raises(ValueError):
-        pivot_pool_for_burst(g, Burst(0, 4), {0, 1, 2, 3}, "two-hop")
+        pivot_pool_for_burst(g, range(0, 4), {0, 1, 2, 3}, "two-hop")
 
 
 def test_targets_interior_pivot_excludes_window_only():
-    targets = eligible_swap_targets(100, Burst(10, 5), pivot=12, excluded=())
+    targets = eligible_swap_targets(100, range(10, 15), pivot=12, excluded=())
     assert targets == list(range(0, 10)) + list(range(15, 100))
 
 
 def test_targets_first_endpoint_moves_left():
-    burst = Burst(10, 5)
+    burst = range(10, 15)
     assert eligible_swap_targets(100, burst, pivot=10, excluded=()) == list(range(10))
     # At the codeword edge there is nowhere further left.
-    assert eligible_swap_targets(100, Burst(0, 5), pivot=0, excluded=()) == []
+    assert eligible_swap_targets(100, range(0, 5), pivot=0, excluded=()) == []
 
 
 def test_targets_last_endpoint_moves_right():
-    burst = Burst(10, 5)
+    burst = range(10, 15)
     assert eligible_swap_targets(100, burst, pivot=14, excluded=()) == \
         list(range(15, 100))
-    assert eligible_swap_targets(100, Burst(95, 5), pivot=99, excluded=()) == []
+    assert eligible_swap_targets(100, range(95, 100), pivot=99, excluded=()) == []
 
 
 def test_targets_respect_exclusions_and_allowed():
     # A restriction to columns 0..9 of n=12 bars 10 and 11; the optimizer
     # passes barred columns in with the other exclusions.
     barred = frozenset({10, 11})
-    burst = Burst(4, 3)
+    burst = range(4, 7)
     targets = eligible_swap_targets(12, burst, pivot=5, excluded={0, 1, 8} | barred)
     assert targets == [2, 3, 7, 9]
     pools = [PivotSet(frozenset({4, 5, 6})), PivotSet(frozenset({6, 8, 10, 11}))]
@@ -92,9 +93,9 @@ def test_targets_respect_exclusions_and_allowed():
 
 def test_choose_swap_target_none_on_empty():
     rng = random.Random(0)
-    assert choose_swap_target(rng, 10, Burst(0, 4), 0, ()) is None
-    assert choose_swap_target(rng, 10, Burst(2, 3), 3, ()) in \
-        eligible_swap_targets(10, Burst(2, 3), 3, ())
+    assert choose_swap_target(rng, 10, range(0, 4), 0, ()) is None
+    assert choose_swap_target(rng, 10, range(2, 5), 3, ()) in \
+        eligible_swap_targets(10, range(2, 5), 3, ())
 
 
 def test_targets_never_hit_other_pools(rng):
@@ -107,7 +108,7 @@ def test_targets_never_hit_other_pools(rng):
         scan = scan_length(g, length)
         if scan.n_b < 2:
             continue
-        bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
+        bursts = [range(j, j + length) for j in scan.uncorrectable_starts]
         pools = [pivot_pool_for_burst(g, b, r)
                  for b, r in zip(bursts, scan.residuals)]
         for i, burst in enumerate(bursts):
@@ -115,7 +116,7 @@ def test_targets_never_hit_other_pools(rng):
             for pivot in pools[i].pivots:
                 for t in eligible_swap_targets(g.n, burst, pivot, others):
                     assert t not in others
-                    assert not burst.start <= t <= burst.last
+                    assert t not in burst
 
 
 def test_swap_round_displaces_pivot_span_beyond_length():
@@ -125,7 +126,7 @@ def test_swap_round_displaces_pivot_span_beyond_length():
     length = compute_lmax(g) + 1
     scan = scan_length(g, length)
     assert scan.n_b >= 1
-    bursts = [Burst(j, length) for j in scan.uncorrectable_starts]
+    bursts = [range(j, j + length) for j in scan.uncorrectable_starts]
     pools = [pivot_pool_for_burst(g, b, r)
              for b, r in zip(bursts, scan.residuals)]
     before = g.copy()
@@ -246,10 +247,7 @@ def test_restriction_indices_must_lie_in_the_graph(bad):
 
 
 def _report_digests(result):
-    lines = ["L,N_B,F_act,decode_calls,accepted,aborted_rounds"]
-    lines += [f"{r.length},{r.n_b},{r.f_act},{r.decode_calls},"
-              f"{str(r.accepted).lower()},{r.aborted_rounds}" for r in result.report.rows]
-    return (hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest(),
+    return (hashlib.sha256(format_report(result.report).encode()).hexdigest(),
             hashlib.sha256(format_permutation(result.permutation).encode()).hexdigest())
 
 
@@ -300,11 +298,8 @@ def test_pss_outputs_pinned_at_n512():
     # file, on a code six times the benchmark's n; about 0.3 s.
     g = gen_regular(GenSpec(n=512, m=256, var_degree=3, check_degree=6, rng_seed=1))
     result = pss_optimize(g, PssConfig(rng_seed=7, f_max=20))
-    lines = ["L,N_B,F_act,decode_calls,accepted,aborted_rounds"]
-    lines += [f"{r.length},{r.n_b},{r.f_act},{r.decode_calls},"
-              f"{str(r.accepted).lower()},{r.aborted_rounds}" for r in result.report.rows]
     digests = {
-        "report": hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest(),
+        "report": hashlib.sha256(format_report(result.report).encode()).hexdigest(),
         "perm": hashlib.sha256(format_permutation(result.permutation).encode()).hexdigest(),
     }
     assert (result.report.original_lmax, result.report.final_lmax) == (200, 208)

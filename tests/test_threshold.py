@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -169,16 +170,14 @@ def test_distribution_validation():
                        ({3: 4}, {6: 3, 3: -2})):
         with pytest.raises(ValueError, match="negative node count"):
             EdgeDistribution.from_node_multiplicities(var, check)
+    # A negative degree is named before the edge sums, whatever its count.
+    for var, check, message in (({3: 2}, {-6: 1}, "check degree -6 is below 1"),
+                                ({3: 2, -1: 0}, {6: 1}, "variable degree -1 is below 1")):
+        with pytest.raises(ValueError, match=message):
+            EdgeDistribution.from_node_multiplicities(var, check)
     # Degree-0 entries are dropped, as graphs with zero-degree columns need.
     assert EdgeDistribution.from_node_multiplicities({3: 2, 0: 5}, {6: 1}) == \
         EdgeDistribution.from_regular(3, 6)
-
-
-def test_edge_fractions_exact():
-    dist = EdgeDistribution.from_node_multiplicities({2: 3, 3: 2}, {4: 3})
-    assert dist.lam == ((2, 0.5), (3, 0.5))
-    assert dist.rho == ((4, 1.0),)
-    assert math.isclose(dist.lam_at(1.0), 1.0)
 
 
 # Fixed-point test grid: fine near 0, where the stability bound binds, and
@@ -195,6 +194,21 @@ def _edge_side(degrees):
 def _fractions(weights):
     total = sum(weights.values())
     return tuple(sorted((deg, w / total) for deg, w in weights.items()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(variable=_edge_side(range(1, 13)))
+@example(variable={2: 3, 3: 2})
+def test_edge_fractions_exact(variable):
+    # Each fraction is the exact rational d * c / E rounded once to float.
+    edges = sum(d * c for d, c in variable.items())
+    dist = EdgeDistribution.from_node_multiplicities(variable, {1: edges})
+    assert dist.lam == tuple((d, float(Fraction(d * c, edges)))
+                             for d, c in sorted(variable.items()))
+    assert dist.rho == ((1, 1.0),)
+    assert math.isclose(dist.lam_at(1.0), 1.0)
+    if variable == {2: 3, 3: 2}:
+        assert dist.lam == ((2, 0.5), (3, 0.5))
 
 
 @settings(max_examples=15, deadline=None)
