@@ -19,8 +19,7 @@ from .stopset import (ENUMERATION_LIMIT, InducedSubgraph, PivotSet, StoppingSet,
                       pivot_search)
 from .tanner import (GraphValidationError, InternalInvariantError, Permutation,
                      TannerGraph, format_alist, format_permutation, parse_alist,
-                     parse_permutation, read_alist, read_permutation, write_alist,
-                     write_permutation)
+                     parse_permutation)
 from .threshold import EdgeDistribution, de_step, lmax_target, threshold
 
 __version__ = "0.1.0"
@@ -35,7 +34,6 @@ __all__ = [
     "format_alist", "format_permutation", "format_report", "gen_regular",
     "induced_subgraph", "is_stopping_set", "lmax_target", "min_stopping_set_span",
     "neighboring_pivots", "parse_alist", "parse_permutation",
-    "pivot_pool_for_burst", "pivot_search", "pss_optimize", "read_alist",
-    "read_permutation", "scan_length", "threshold", "write_alist",
-    "write_permutation",
+    "pivot_pool_for_burst", "pivot_search", "pss_optimize", "scan_length",
+    "threshold",
 ]

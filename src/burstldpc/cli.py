@@ -20,8 +20,7 @@ from .codegen import GenSpec, fixtures, four_cycle_count, gen_regular
 from .pss import PssConfig, format_report, pss_optimize
 from .stopset import ENUMERATION_LIMIT, all_pivots_oracle, iter_stopping_sets
 from .tanner import (GraphValidationError, InternalInvariantError, TannerGraph,
-                     format_alist, format_permutation, read_alist, write_alist,
-                     write_permutation)
+                     format_alist, format_permutation, parse_alist)
 from .threshold import EdgeDistribution, lmax_target, threshold
 
 
@@ -35,14 +34,31 @@ def _load_graph(token: str) -> TannerGraph:
             raise GraphValidationError(
                 f"unknown fixture {name!r}; available: {', '.join(sorted(table))}")
         return table[name]
-    return read_alist(token)
+    return parse_alist(Path(token).read_text())
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an empty path, a directory, or a file in no directory."""
+    if not path:
+        raise ValueError("output path is empty")
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"output path {path!r} is a directory")
+    if not target.parent.is_dir():
+        raise ValueError(f"output path {path!r}: {str(target.parent)!r} is not a directory")
+
+
+def _output(path: str | None):
+    """The one place output is opened: stdout when path is None, else the file."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    _check_output_path(path)
+    return open(path, "w")
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as f:
+        f.write(text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -80,7 +96,7 @@ def _cmd_stopsets(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     sets = iter_stopping_sets(g, max_n=args.max_n)
     # Rows are written as their sets are found: a graph can have millions.
-    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
+    with _output(args.out) as out:
         out.write("members\tspan\tpivots\tpivot_span\n")
         count = 0
         for s in sets:
@@ -174,13 +190,16 @@ def _cmd_pss(args: argparse.Namespace) -> int:
         pivot_pool_policy="full-closure" if args.pool == "closure" else "one-hop",
         restrict_to_systematic=allowed,
         max_length=args.max_length)
+    # A run can take minutes: refuse an unwritable output before it starts.
+    for path in (args.out, args.perm, args.report):
+        if path is not None:
+            _check_output_path(path)
     result = pss_optimize(g, cfg)
-    if args.out:
-        write_alist(result.graph, args.out)
-    if args.perm:
-        write_permutation(result.permutation, args.perm)
-    if args.report:
-        Path(args.report).write_text(format_report(result.report))
+    for path, fmt, value in ((args.out, format_alist, result.graph),
+                             (args.perm, format_permutation, result.permutation),
+                             (args.report, format_report, result.report)):
+        if path is not None:
+            _emit(fmt(value), path)
     _emit(f"original_lmax {result.report.original_lmax}\n"
           f"final_lmax {result.report.final_lmax}\n", None)
     print(f"L_max {result.report.original_lmax} -> {result.report.final_lmax} "
@@ -259,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except (GraphValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,18 +18,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NoReturn, Sequence
 
 
 class GraphValidationError(ValueError):
-    """Structurally invalid input; carries the offending row/column when known."""
-
-    def __init__(self, message: str, *, row: int | None = None,
-                 column: int | None = None) -> None:
-        super().__init__(message)
-        self.row = row
-        self.column = column
+    """Structurally invalid input; the message names the offending row or column."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -174,12 +167,9 @@ def _raise_row_error(r: int, row: Sequence[int], n: int) -> NoReturn:
     for v in row:
         if not 0 <= v < n:
             raise GraphValidationError(
-                f"row {r}: variable index {v} out of range (n={n})",
-                row=r, column=v)
+                f"row {r}: variable index {v} out of range (n={n})")
         if v in seen:
-            raise GraphValidationError(
-                f"row {r}: duplicate edge to variable {v}",
-                row=r, column=v)
+            raise GraphValidationError(f"row {r}: duplicate edge to variable {v}")
         seen.add(v)
     raise InternalInvariantError(f"row {r} failed validation but has no bad entry")
 
@@ -258,22 +248,14 @@ def parse_alist(text: str) -> TannerGraph:
         if len(nodes) != degree:
             if i < n:
                 raise GraphValidationError(
-                    f"alist: column {i} lists {len(nodes)} checks, declared {degree}", column=i)
+                    f"alist: column {i} lists {len(nodes)} checks, declared {degree}")
             raise GraphValidationError(
-                f"alist: row {i - n} lists {len(nodes)} variables, declared {degree}", row=i - n)
+                f"alist: row {i - n} lists {len(nodes)} variables, declared {degree}")
         entries.append(nodes)
     g = TannerGraph.from_rows(entries[n:], n)
     if g.var_adj != [sorted(col) for col in entries[:n]]:
         raise GraphValidationError("alist: column lists inconsistent with row lists")
     return g
-
-
-def read_alist(path: str | Path) -> TannerGraph:
-    return parse_alist(Path(path).read_text())
-
-
-def write_alist(g: TannerGraph, path: str | Path) -> None:
-    Path(path).write_text(format_alist(g))
 
 
 def format_permutation(p: Permutation) -> str:
@@ -293,11 +275,3 @@ def parse_permutation(text: str) -> Permutation:
         raise GraphValidationError(
             f"permutation file: declared n={n} but {len(images)} images")
     return Permutation(images)
-
-
-def read_permutation(path: str | Path) -> Permutation:
-    return parse_permutation(Path(path).read_text())
-
-
-def write_permutation(p: Permutation, path: str | Path) -> None:
-    Path(path).write_text(format_permutation(p))

@@ -268,7 +268,7 @@ def test_optional_margulis_code():
     path = pathlib.Path(__file__).parent / "data" / "margulis_2640_1320.alist"
     if not path.exists():
         pytest.skip("external Margulis graph not supplied")
-    g = b.read_alist(path)
+    g = b.parse_alist(path.read_text())
     assert b.compute_lmax(g) == 1033
     result = b.pss_optimize(g, b.PssConfig(rng_seed=1))
     assert result.report.final_lmax >= 1100

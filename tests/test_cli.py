@@ -8,7 +8,7 @@ import pytest
 
 import burstldpc
 from burstldpc import (PssConfig, fixtures, format_alist, parse_alist,
-                       parse_permutation, pss_optimize, read_alist, read_permutation)
+                       parse_permutation, pss_optimize)
 from burstldpc.cli import main
 from conftest import brute_four_cycle_pairs
 
@@ -107,7 +107,7 @@ def test_gen_then_lmax(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "--n", "48", "--m", "24", "--dv", "3",
                      "--dc", "6", "--seed", "3", "--out", str(out))
     assert code == 0
-    g = read_alist(out)
+    g = parse_alist(out.read_text())
     assert g.n == 48 and g.m == 24
     code, stdout, _ = run(capsys, "lmax", str(out))
     assert code == 0
@@ -356,8 +356,8 @@ def test_pss_end_to_end(tmp_path, capsys):
     final = int(lines[1].split()[1])
     assert final >= original
 
-    g = read_alist(src)
-    optimized = read_alist(out_path)
+    g = parse_alist(src.read_text())
+    optimized = parse_alist(out_path.read_text())
     perm = parse_permutation(perm_path.read_text())
     assert optimized == g.apply_permutation(perm)
 
@@ -376,9 +376,9 @@ def test_pss_perm_file_is_the_returned_permutation(tmp_path, capsys):
     code, _, _ = run(capsys, "pss", str(src), "--seed", "9", "--fmax", "12",
                      "--perm", str(perm_path))
     assert code == 0
-    result = pss_optimize(read_alist(src), PssConfig(rng_seed=9, f_max=12))
+    result = pss_optimize(parse_alist(src.read_text()), PssConfig(rng_seed=9, f_max=12))
     assert result.permutation.mapping != tuple(range(48))
-    assert read_permutation(perm_path) == result.permutation
+    assert parse_permutation(perm_path.read_text()) == result.permutation
 
 
 def test_pss_summary_without_failing_lengths(capsys):
@@ -473,12 +473,54 @@ def test_gen_alist_to_stdout(capsys):
     assert g.n == 12 and g.m == 6
 
 
+SINGLE_OUTPUT_ARGV = [
+    ("gen", "--n", "12", "--m", "6", "--dv", "2", "--dc", "4", "--seed", "1"),
+    ("lmax", "fixtures:cycle4"),
+    ("scan", "fixtures:cycle4", "--length", "3"),
+    ("stopsets", "fixtures:chainD"),
+    ("threshold", "--regular", "3", "6", "--n", "96"),
+]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "lmax.txt"
-    code, out, _ = run(capsys, "lmax", "fixtures:cycle4", "--out", str(target))
-    assert code == 0
+    """--out holds exactly the bytes the same call prints without it."""
+    for argv in SINGLE_OUTPUT_ARGV:
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and expected, argv
+        target = tmp_path / f"{argv[0]}.out"
+        assert run(capsys, *argv, "--out", str(target))[:2] == (0, ""), argv
+        assert target.read_bytes() == expected.encode(), argv
+
+
+PSS_ARGV = ("pss", "fixtures:chainD", "--fmax", "3")
+
+
+@pytest.mark.parametrize("argv, flag", [(argv, "--out") for argv in SINGLE_OUTPUT_ARGV]
+                         + [(PSS_ARGV, flag) for flag in ("--out", "--perm", "--report")],
+                         ids=lambda value: value if isinstance(value, str) else value[0])
+def test_empty_output_path_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, flag, "")
+    assert code == 1
     assert out == ""
-    assert target.read_text() == "L_max 3\n"
+    assert err == "error: output path is empty\n"
+
+
+@pytest.mark.parametrize("flag, bad, message", [
+    ("--perm", "missing/p.txt", "'missing' is not a directory"),
+    ("--report", ".", "is a directory"),
+])
+def test_pss_checks_output_paths_before_the_run(tmp_path, capsys, monkeypatch,
+                                                 flag, bad, message):
+    def never(*args, **kwargs):
+        raise AssertionError("pss_optimize ran despite an unwritable output path")
+
+    monkeypatch.setattr("burstldpc.cli.pss_optimize", never)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *PSS_ARGV, "--out", "o.alist", flag, bad)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: output path {bad!r}") and message in err
+    assert not (tmp_path / "o.alist").exists()
 
 
 def test_fixed_seed_outputs_are_pinned(tmp_path, capsys):
