@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import xor
 
-from .tanner import InternalInvariantError, TannerGraph
+from .tanner import TannerGraph
 
 # Early-exit scans peel blocks of starts of doubling width from this one.
 _FIRST_BLOCK = 8
@@ -160,23 +160,16 @@ def compute_lmax(g: TannerGraph) -> int:
     All-positions resolvability is monotone non-increasing in L (peeling
     a subset of a decodable pattern succeeds), so one binary search over
     0 .. n+1 finds it, with length 0 vacuously resolvable and n+1
-    vacuously failing; probes may exit early.  Full scans confirm the
-    boundary: length L_max when it is positive, L_max + 1 when it is
-    below n.
+    vacuously failing.  Its probes are the proof: the search ends with
+    ``hi == lo + 1``, where ``lo`` is 0 or a length whose early-exit scan
+    came back clean, which peels every window, and ``hi`` is n+1 or a
+    length whose scan found a failing window.
     """
-    def resolvable(length: int) -> bool:
-        return scan_length(g, length, early_exit=True,
-                           collect_residuals=False).n_b == 0
-
     lo, hi = 0, g.n + 1  # resolvable at lo, failing at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if resolvable(mid):
-            lo = mid
-        else:
+        if scan_length(g, mid, early_exit=True, collect_residuals=False).n_b:
             hi = mid
-    if lo and scan_length(g, lo, collect_residuals=False).n_b:
-        raise InternalInvariantError(f"confirming scan failed at length {lo}")
-    if lo < g.n and not scan_length(g, lo + 1, collect_residuals=False).n_b:
-        raise InternalInvariantError(f"confirming scan clean at length {lo + 1}")
+        else:
+            lo = mid
     return lo

@@ -190,10 +190,14 @@ def _cmd_pss(args: argparse.Namespace) -> int:
         pivot_pool_policy="full-closure" if args.pool == "closure" else "one-hop",
         restrict_to_systematic=allowed,
         max_length=args.max_length)
-    # A run can take minutes: refuse an unwritable output before it starts.
-    for path in (args.out, args.perm, args.report):
+    # A run can take minutes: refuse an unwritable or shared output before it starts.
+    seen: dict[Path, str] = {}
+    for flag, path in (("--out", args.out), ("--perm", args.perm), ("--report", args.report)):
         if path is not None:
             _check_output_path(path)
+            first = seen.setdefault(Path(path).resolve(), flag)
+            if first != flag:
+                raise ValueError(f"output path {path!r} names the same file as {first}")
     result = pss_optimize(g, cfg)
     for path, fmt, value in ((args.out, format_alist, result.graph),
                              (args.perm, format_permutation, result.permutation),

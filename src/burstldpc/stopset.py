@@ -74,9 +74,6 @@ class PivotSet:
     def __len__(self) -> int:
         return len(self.pivots)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.pivots))
-
     def __contains__(self, v: object) -> bool:
         return v in self.pivots
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,27 @@ def test_lmax_and_scan_pinned_at_scale():
             + "\n".join(" ".join(map(str, sorted(r))) for r in scan.residuals))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "248a330456fdb5e4ac8f53f1cde29998e78b697ed3409027100dadb4d963e73c"
+
+
+def test_compute_lmax_makes_probes_only(monkeypatch):
+    # The binary search's own probes prove L_max: every scan is an
+    # early-exit probe without residuals, at most one per halving.
+    scans = []
+    real = burst.scan_length
+
+    def recording(g, length, **kwargs):
+        scans.append(kwargs)
+        return real(g, length, **kwargs)
+
+    monkeypatch.setattr(burst, "scan_length", recording)
+    codes = list(fixtures().values()) + [
+        gen_regular(GenSpec(n=512, m=256, var_degree=3, check_degree=6, rng_seed=1))]
+    for g in codes:
+        scans.clear()
+        value = compute_lmax(g)
+        assert all(s == {"early_exit": True, "collect_residuals": False} for s in scans)
+        assert len(scans) <= math.ceil(math.log2(g.n + 2))
+    assert value == 200
 
 
 def test_compute_lmax_equals_min_span_minus_one(rng):

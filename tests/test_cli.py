@@ -508,6 +508,7 @@ def test_empty_output_path_is_refused(capsys, argv, flag):
 @pytest.mark.parametrize("flag, bad, message", [
     ("--perm", "missing/p.txt", "'missing' is not a directory"),
     ("--report", ".", "is a directory"),
+    ("--perm", "./o.alist", "same file as --out"),
 ])
 def test_pss_checks_output_paths_before_the_run(tmp_path, capsys, monkeypatch,
                                                  flag, bad, message):
